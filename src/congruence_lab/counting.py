@@ -60,17 +60,13 @@ class WeightSpec:
     kind: str
     sigma: float = 1.0
     radius: float = 1.0
-    quad_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.kind not in (GAUSSIAN, BUMP_PAIR, SHARP_CUTOFF):
+        if self.kind not in _KINDS:
             raise ValidationError(f"unknown weight kind {self.kind!r}")
-        if self.sigma <= 0 or self.radius <= 0:
-            raise ValidationError("weight shape parameters must be positive")
-
-    @property
-    def cached_fourier_at_zero(self) -> float:
-        return fourier_at_zero(self)
+        for name, value in (("sigma", self.sigma), ("radius", self.radius)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"weight {name} must be finite and positive, got {value!r}")
 
 
 def gaussian_weight(sigma: float = 1.0) -> WeightSpec:
@@ -85,152 +81,165 @@ def sharp_cutoff_weight(radius: float = 1.0) -> WeightSpec:
     return WeightSpec(SHARP_CUTOFF, radius=radius)
 
 
-def _seed_bump(x: float) -> float:
-    """The standard bump exp(-1/(1-x^2)) on (-1, 1)."""
-    if abs(x) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - x * x))
+# Each kind below implements, on float arrays: the weight, its Fourier
+# transform, the support cutoff (x beyond which the weight is below
+# WEIGHT_NEGLIGIBLE), the Fourier tail cutoff (y beyond which the transform
+# is below FOURIER_NEGLIGIBLE times its value at 0), and monotone majorants
+# of the weight and of |transform| beyond each point (the decay envelopes).
 
 
-_BUMP_GRID_T = 30.0
-_BUMP_GRID_STEP = 0.02
-_CONV_GRID_STEP = 0.005
+class _Gaussian:
+    def values(self, w, xs):
+        return np.exp(-math.pi * xs * xs / (w.sigma * w.sigma))
+
+    def fourier(self, w, ys):
+        return w.sigma * np.exp(-math.pi * (w.sigma * ys) ** 2)
+
+    def support_cutoff(self, w):
+        return 6.0 * w.sigma
+
+    def fourier_tail_cutoff(self, w):
+        return math.sqrt(-math.log(FOURIER_NEGLIGIBLE) / math.pi) / w.sigma
+
+    # both decrease in |x|, so each is its own envelope
+    value_envelope = values
+    fourier_envelope = fourier
 
 
-@lru_cache(maxsize=4)
-def _bump_tables(quad_tol: float):
-    """Cached cubic-spline tables for the seed bump transform and self-convolution.
+class _SharpCutoff:
+    def values(self, w, xs):
+        return (np.abs(xs) <= w.radius).astype(float)
 
-    Returns (fhat spline on [0, T], fhat(0), (f*f) spline on [0, 2],
-    support cutoff t* beyond which (fhat/fhat(0))^2 < 1e-12).
-    """
-    from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
+    def fourier(self, w, ys):
+        return 2.0 * w.radius * np.sinc(2.0 * w.radius * ys)
 
-    ts = np.arange(0.0, _BUMP_GRID_T + _BUMP_GRID_STEP / 2, _BUMP_GRID_STEP)
-    fhat = np.empty_like(ts)
-    fhat[0] = quad(_seed_bump, -1.0, 1.0, epsabs=quad_tol, limit=200)[0]
-    for i, t in enumerate(ts[1:], start=1):
-        fhat[i] = quad(
-            _seed_bump, -1.0, 1.0, weight="cos", wvar=2.0 * math.pi * t,
-            epsabs=quad_tol, limit=200,
-        )[0]
-    zs = np.arange(0.0, 2.0 + _CONV_GRID_STEP / 2, _CONV_GRID_STEP)
-    conv = np.empty_like(zs)
-    for i, z in enumerate(zs):
-        lo, hi = max(-1.0, z - 1.0), min(1.0, z + 1.0)
-        conv[i] = quad(
-            lambda u, z=z: _seed_bump(u) * _seed_bump(z - u), lo, hi,
-            epsabs=quad_tol, limit=200,
-        )[0]
-    conv[-1] = 0.0  # support endpoint is exact
-    threshold = 1e-6 * fhat[0]
-    above = np.nonzero(np.abs(fhat) >= threshold)[0]
-    t_star = ts[above[-1]] + _BUMP_GRID_STEP if len(above) else _BUMP_GRID_T
-    return CubicSpline(ts, fhat), float(fhat[0]), CubicSpline(zs, conv), float(t_star)
+    def support_cutoff(self, w):
+        return w.radius
+
+    def fourier_tail_cutoff(self, w):
+        return math.inf  # sinc tails never become negligible
+
+    value_envelope = values
+
+    def fourier_envelope(self, w, ys):
+        with np.errstate(divide="ignore"):
+            return np.minimum(2.0 * w.radius, 1.0 / (math.pi * np.abs(ys)))
+
+
+def _seed_bump(u):
+    """The standard bump exp(-1/(1-u^2)) on (-1, 1), 0 outside."""
+    return np.exp(-1.0 / np.maximum(1.0 - u * u, np.finfo(float).tiny))
+
+
+# Every derivative of the seed bump vanishes at +-1, so the trapezoid rule on
+# a fixed grid gives its transform and self-convolution to rounding error
+# (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+# SIAM Rev. 56, 2014).  384 panels match adaptive quadrature to ~1e-15 of
+# fhat(0) for |t| <= 30, where the rule's aliasing error is fhat at |t| >= 162.
+_BUMP_PANELS = 384
+_BUMP_NODES = np.arange(1 - _BUMP_PANELS // 2, _BUMP_PANELS // 2) * (2.0 / _BUMP_PANELS)
+_BUMP_NODE_WEIGHTS = (2.0 / _BUMP_PANELS) * _seed_bump(_BUMP_NODES)
+# the seed is even, so its cosine sum folds onto the nodes u >= 0
+_FOLDED_NODES = _BUMP_NODES[_BUMP_PANELS // 2 - 1:]
+_FOLDED_WEIGHTS = np.where(_FOLDED_NODES == 0.0, 1.0, 2.0) * _BUMP_NODE_WEIGHTS[_BUMP_PANELS // 2 - 1:]
+_BUMP_T_MAX = 30.0  # the bump-pair weight is taken as 0 beyond this transform argument
+_BUMP_SCAN_STEP = 0.02
+_ROW_BLOCK = 2048  # arguments per node-sum block: keeps each block matrix under ~6 MB
+
+
+def _node_sum(args: np.ndarray, limit: float, kernel, node_weights: np.ndarray) -> np.ndarray:
+    """sum_j kernel(a)[j] node_weights[j] for each a < limit (0 elsewhere), once per distinct a."""
+    out = np.zeros(args.shape)
+    inside = args < limit
+    distinct, index = np.unique(args[inside], return_inverse=True)
+    sums = np.empty(len(distinct))
+    for start in range(0, len(distinct), _ROW_BLOCK):
+        rows = distinct[start:start + _ROW_BLOCK, None]
+        sums[start:start + _ROW_BLOCK] = (kernel(rows) * node_weights).sum(axis=1)
+    out[inside] = sums[index]
+    return out
+
+
+def _bump_fhat(ts: np.ndarray) -> np.ndarray:
+    """The seed bump's Fourier transform at each t >= 0 (0 from _BUMP_T_MAX on)."""
+    return _node_sum(ts, _BUMP_T_MAX, lambda t: np.cos(2.0 * math.pi * t * _FOLDED_NODES), _FOLDED_WEIGHTS)
+
+
+_BUMP_FHAT0 = float(_bump_fhat(np.zeros(1))[0])
+
+
+@lru_cache(maxsize=1)
+def _bump_scan() -> tuple[float, np.ndarray]:
+    """One scan of |fhat| on the 0.02 grid over [0, 30]: the support cutoff t* (one
+    step past the last point where (fhat/fhat(0))^2 >= 1e-12) and the suffix
+    maxima of |fhat|, a monotone majorant of the oscillating tail."""
+    ts = np.arange(0.0, _BUMP_T_MAX + _BUMP_SCAN_STEP / 2, _BUMP_SCAN_STEP)
+    mag = np.abs(_bump_fhat(ts))
+    last = np.nonzero(mag >= 1e-6 * mag[0])[0][-1]
+    return float(ts[last] + _BUMP_SCAN_STEP), np.maximum.accumulate(mag[::-1])[::-1]
+
+
+class _BumpPair:
+    def values(self, w, xs):
+        return (_bump_fhat(w.radius * np.abs(xs)) / _BUMP_FHAT0) ** 2
+
+    def fourier(self, w, ys):
+        # the self-convolution (bump * bump)(z), supported on |z| < 2
+        conv = _node_sum(np.abs(ys) / w.radius, 2.0, lambda z: _seed_bump(z - _BUMP_NODES),
+                         _BUMP_NODE_WEIGHTS)
+        return conv / (w.radius * _BUMP_FHAT0 * _BUMP_FHAT0)
+
+    def support_cutoff(self, w):
+        return _bump_scan()[0] / w.radius
+
+    def fourier_tail_cutoff(self, w):
+        return 2.0 * w.radius  # exactly supported
+
+    def value_envelope(self, w, xs):
+        t_star, suffix_max = _bump_scan()
+        ts = w.radius * np.abs(xs)
+        at = np.minimum(ts / _BUMP_SCAN_STEP, len(suffix_max) - 1).astype(int)
+        return np.where(ts >= t_star, WEIGHT_NEGLIGIBLE, (suffix_max[at] / _BUMP_FHAT0) ** 2)
+
+    def fourier_envelope(self, w, ys):
+        return np.where(np.abs(ys) >= 2.0 * w.radius, 0.0, fourier_at_zero(w))
+
+
+_KINDS = {GAUSSIAN: _Gaussian(), BUMP_PAIR: _BumpPair(), SHARP_CUTOFF: _SharpCutoff()}
+
+
+def weight_eval_array(w: WeightSpec, xs) -> np.ndarray:
+    """The weight at each point of xs, normalized so the Gaussian has value 1 at 0."""
+    return _KINDS[w.kind].values(w, np.asarray(xs, dtype=float))
+
+
+def weight_fourier_array(w: WeightSpec, ys) -> np.ndarray:
+    """The Fourier transform at each point of ys (real: all weights here are real and even)."""
+    return _KINDS[w.kind].fourier(w, np.asarray(ys, dtype=float))
 
 
 def weight_eval(w: WeightSpec, x: float) -> float:
-    """The weight value at x, normalized so the Gaussian has value 1 at 0."""
-    if w.kind == GAUSSIAN:
-        return math.exp(-math.pi * x * x / (w.sigma * w.sigma))
-    if w.kind == SHARP_CUTOFF:
-        return 1.0 if abs(x) <= w.radius else 0.0
-    spline, fhat0, _, t_star = _bump_tables(w.quad_tol)
-    t = w.radius * abs(x)
-    if t >= _BUMP_GRID_T:
-        return 0.0
-    ratio = float(spline(t)) / fhat0
-    return ratio * ratio
+    """The weight value at x (weight_eval_array at one point)."""
+    return float(weight_eval_array(w, x))
 
 
 def weight_fourier(w: WeightSpec, y: float) -> float:
-    """The Fourier transform at y (real: all weights here are real and even)."""
-    if w.kind == GAUSSIAN:
-        return w.sigma * math.exp(-math.pi * (w.sigma * y) ** 2)
-    if w.kind == SHARP_CUTOFF:
-        if y == 0.0:
-            return 2.0 * w.radius
-        return math.sin(2.0 * math.pi * w.radius * y) / (math.pi * y)
-    z = abs(y) / w.radius
-    if z >= 2.0:
-        return 0.0
-    _, fhat0, conv_spline, _ = _bump_tables(w.quad_tol)
-    return float(conv_spline(z)) / (w.radius * fhat0 * fhat0)
+    """The Fourier transform at y (weight_fourier_array at one point)."""
+    return float(weight_fourier_array(w, y))
 
 
-def _weight_eval_vec(w: WeightSpec, xs: np.ndarray) -> np.ndarray:
-    if w.kind == GAUSSIAN:
-        return np.exp(-math.pi * xs * xs / (w.sigma * w.sigma))
-    if w.kind == SHARP_CUTOFF:
-        return (np.abs(xs) <= w.radius).astype(float)
-    spline, fhat0, _, _ = _bump_tables(w.quad_tol)
-    ts = w.radius * np.abs(xs)
-    vals = np.where(ts < _BUMP_GRID_T, spline(np.minimum(ts, _BUMP_GRID_T)), 0.0)
-    return (vals / fhat0) ** 2
-
-
-def _weight_fourier_vec(w: WeightSpec, ys: np.ndarray) -> np.ndarray:
-    if w.kind == GAUSSIAN:
-        return w.sigma * np.exp(-math.pi * (w.sigma * ys) ** 2)
-    if w.kind == SHARP_CUTOFF:
-        out = np.full_like(ys, 2.0 * w.radius, dtype=float)
-        nz = ys != 0
-        out[nz] = np.sin(2.0 * math.pi * w.radius * ys[nz]) / (math.pi * ys[nz])
-        return out
-    _, fhat0, conv_spline, _ = _bump_tables(w.quad_tol)
-    zs = np.abs(ys) / w.radius
-    vals = np.where(zs < 2.0, conv_spline(np.minimum(zs, 2.0)), 0.0)
-    return vals / (w.radius * fhat0 * fhat0)
-
-
-@lru_cache(maxsize=64)
 def fourier_at_zero(w: WeightSpec) -> float:
     return weight_fourier(w, 0.0)
 
 
 def weight_support_cutoff(w: WeightSpec) -> float:
     """x beyond which the weight drops below the negligibility threshold."""
-    if w.kind == GAUSSIAN:
-        return 6.0 * w.sigma
-    if w.kind == SHARP_CUTOFF:
-        return w.radius
-    _, _, _, t_star = _bump_tables(w.quad_tol)
-    return t_star / w.radius
+    return _KINDS[w.kind].support_cutoff(w)
 
 
 def fourier_tail_cutoff(w: WeightSpec) -> float:
     """y beyond which |Fourier transform| < 1e-14 * its value at 0."""
-    if w.kind == GAUSSIAN:
-        return math.sqrt(-math.log(FOURIER_NEGLIGIBLE) / math.pi) / w.sigma
-    if w.kind == BUMP_PAIR:
-        return 2.0 * w.radius  # exactly supported
-    return math.inf  # sharp cutoff: sinc tails never become negligible
-
-
-def _weight_decay_envelope(w: WeightSpec, x: float) -> float:
-    """Monotone majorant of the weight beyond |x| (safe for oscillating tails)."""
-    if w.kind in (GAUSSIAN, SHARP_CUTOFF):
-        return weight_eval(w, x)
-    spline, fhat0, _, t_star = _bump_tables(w.quad_tol)
-    t = w.radius * abs(x)
-    if t >= t_star:
-        return WEIGHT_NEGLIGIBLE
-    # suffix maximum of |fhat| over the cached grid
-    ts = np.arange(t, t_star + _BUMP_GRID_STEP, _BUMP_GRID_STEP)
-    peak = float(np.max(np.abs(spline(np.minimum(ts, _BUMP_GRID_T)))))
-    return (peak / fhat0) ** 2
-
-
-def _fourier_decay_envelope(w: WeightSpec, y: float) -> float:
-    """Monotone majorant of |Fourier transform| beyond |y|."""
-    if w.kind == GAUSSIAN:
-        return weight_fourier(w, y)
-    if w.kind == BUMP_PAIR:
-        return 0.0 if abs(y) >= 2.0 * w.radius else fourier_at_zero(w)
-    if y == 0.0:
-        return 2.0 * w.radius
-    return min(2.0 * w.radius, 1.0 / (math.pi * abs(y)))
+    return _KINDS[w.kind].fourier_tail_cutoff(w)
 
 
 class PoissonCheck(NamedTuple):
@@ -252,8 +261,8 @@ def poisson_identity_check(
     if q < 1 or N <= 0 or truncation < 1:
         raise ValidationError("need q >= 1, N > 0, truncation >= 1")
     M = truncation * q
-    lhs_tail = _weight_decay_envelope(w, M / N) * (N / q + 2.0)
-    rhs_tail = _fourier_decay_envelope(w, truncation * N / q) * (q / N + 2.0)
+    lhs_tail = float(_KINDS[w.kind].value_envelope(w, np.asarray(M / N))) * (N / q + 2.0)
+    rhs_tail = float(_KINDS[w.kind].fourier_envelope(w, np.asarray(truncation * N / q))) * (q / N + 2.0)
     if lhs_tail > 1e-10 or rhs_tail > 1e-10:
         raise TruncationInsufficient(
             f"tail envelopes {lhs_tail:.2g}/{rhs_tail:.2g} exceed 1e-10"
@@ -261,11 +270,10 @@ def poisson_identity_check(
     a_red = a % q
     j_lo = math.ceil((-M - a_red) / q)
     j_hi = math.floor((M - a_red) / q)
-    lhs = sum(weight_eval(w, (a_red + j * q) / N) for j in range(j_lo, j_hi + 1))
-    rhs_c = 0.0 + 0.0j
-    for n in range(-truncation, truncation + 1):
-        rhs_c += weight_fourier(w, n * N / q) * np.exp(2j * math.pi * n * a_red / q)
-    rhs_c *= N / q
+    lhs = float(weight_eval_array(w, (a_red + np.arange(j_lo, j_hi + 1) * q) / N).sum())
+    ns = np.arange(-truncation, truncation + 1)
+    terms = weight_fourier_array(w, ns * N / q) * np.exp(2j * math.pi * ns * a_red / q)
+    rhs_c = complex(terms.sum()) * (N / q)
     return PoissonCheck(lhs, rhs_c.real, abs(lhs - rhs_c))
 
 
@@ -321,22 +329,23 @@ def _fold_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 def _axis_data(
     form: DiagonalForm, q: int, p: int, N: float, w: WeightSpec, X: int, restrict: str
 ):
-    """Per-coordinate admissible lattice values, weights, and residues.
+    """Per-coordinate admissible lattice values, weights, and residues, plus the
+    weight of every x in [-X, X] at table[x + X].
 
     restrict is "none", "units" (x coprime to p) or "pdiv" (p | x).
     """
+    table = weight_eval_array(w, np.arange(-X, X + 1) / N)
     xs = np.arange(-X, X + 1, dtype=np.int64)
     if restrict == "units":
         xs = xs[xs % p != 0]
     elif restrict == "pdiv":
         xs = xs[xs % p == 0]
-    wts = _weight_eval_vec(w, xs / N)
     residues = [((lam % q) * ((xs * xs) % q)) % q for lam in form.lambdas]
-    return xs, wts, residues
+    return xs, table[xs + X], residues, table
 
 
 def _count_histogram(form, q, p, N, w, X, restrict, target):
-    xs, wts, residues = _axis_data(form, q, p, N, w, X, restrict)
+    xs, wts, residues, _ = _axis_data(form, q, p, N, w, X, restrict)
     if len(xs) == 0:
         return 0.0, {"axis_points": 0, "convolutions": 0}
     hists = []
@@ -358,11 +367,11 @@ def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
     solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
     lam_solve = form.lambdas[solve_idx] % q
     inv_solve = invmod(lam_solve, q)
-    xs, wts, _ = _axis_data(form, q, p, N, w, X, restrict)
+    xs, wts, sq, table = _axis_data(form, q, p, N, w, X, restrict)
     outer_idx = [j for j in range(n) if j != solve_idx]
     outer_size = len(xs) ** len(outer_idx)
     charge(outer_size, budget, "box enumeration")
-    sq = [((form.lambdas[j] % q) * ((xs * xs) % q)) % q for j in range(n)]
+    table = table.tolist()
     root_cache: dict[int, tuple] = {}
     solves = 0
     unit_roots_only = restrict == "units"
@@ -390,7 +399,7 @@ def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
             for x in range(first, X + 1, step):
                 if pdiv_roots and x % p != 0:
                     continue
-                inner += weight_eval(w, x / N)
+                inner += table[x + X]
         total += wt * inner
     cost = {"outer_points": outer_size, "root_solves": solves}
     return total, cost
@@ -510,6 +519,7 @@ def count_weighted_spectral(
         t_row = np.arange(p)[None, :]
         low_full = np.ones(p, dtype=np.complex128)
         low_zero = np.ones(p, dtype=np.complex128)
+        low_weights = weight_fourier_array(w, np.arange(t_max + 1) * N / p).tolist()
         for lam in form.lambdas:
             sig = np.zeros((p, p), dtype=np.complex128)
             lam_p = lam % p
@@ -518,8 +528,7 @@ def count_weighted_spectral(
             axis_col = fa0 * sig[:, 0].copy()
             full_col = axis_col.copy()
             for t in range(1, t_max + 1):
-                wt = weight_fourier(w, t * N / p)
-                full_col += wt * (sig[:, t % p] + sig[:, (-t) % p])
+                full_col += low_weights[t] * (sig[:, t % p] + sig[:, (-t) % p])
             low_full *= full_col
             low_zero *= axis_col
         carrier = phase_p[(-np.arange(p) * (lam_next % p)) % p]
@@ -535,7 +544,7 @@ def count_weighted_spectral(
             continue
         charge(n * (len(vs) + c * c), budget_val, "spectral frequency sum")
         axis_points += n * len(vs)
-        fw = 2.0 * _weight_fourier_vec(w, (p**r) * vs * N / q)  # +-v folded
+        fw = 2.0 * weight_fourier_array(w, (p**r) * vs * N / q)  # +-v folded
         dists = []
         for lam in form.lambdas:
             inv_lam = invmod(lam % c, c)

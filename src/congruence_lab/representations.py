@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import WeightSpec, _weight_fourier_vec, weight_fourier
+from .counting import WeightSpec, weight_fourier_array
 from .densities import DiagonalForm
 from .errors import (
     CoprimalityViolated,
@@ -94,11 +94,13 @@ def tau_n(
     min_tail = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
         min_tail[j] = min_tail[j + 1] + deltas[j]
-    scale = (p**r) * N / q
+    if k < min_tail[0]:
+        return 0.0
+    # every coordinate has Delta_j v^2 <= k, so v <= isqrt(k // min Delta)
+    v_max = math.isqrt(k // deltas[-1])
+    charge(v_max + 1, budget_val, "tau weight table")
+    axis_weight = weight_fourier_array(w, (p**r) * N / q * np.arange(v_max + 1)).tolist()
     nodes = 0
-
-    def axis_weight(v: int) -> float:
-        return weight_fourier(w, scale * v)
 
     def descend(j: int, remaining: int, weight_acc: float) -> float:
         nonlocal nodes
@@ -113,17 +115,15 @@ def tau_n(
             v = math.isqrt(quot)
             if v * v != quot or v == 0 or v % p == 0:
                 return 0.0
-            return weight_acc * 2.0 * axis_weight(v)
+            return weight_acc * 2.0 * axis_weight[v]
         total = 0.0
         v = 1
         while d * v * v + min_tail[j + 1] <= remaining:
             if v % p != 0:
-                total += descend(j + 1, remaining - d * v * v, weight_acc * 2.0 * axis_weight(v))
+                total += descend(j + 1, remaining - d * v * v, weight_acc * 2.0 * axis_weight[v])
             v += 1
         return total
 
-    if k < min_tail[0]:
-        return 0.0
     return descend(0, k, 1.0)
 
 
@@ -255,10 +255,6 @@ def singular_integral(
     n = dual.n
     t = k / (P * P)
     inv_sqrt = np.array([1.0 / math.sqrt(d) for d in dual.deltas])
-    # the shell misses the weight's support entirely once t is too large
-    support = _fourier_support_radius(w)
-    if math.isfinite(support) and t > sum(d * support * support for d in dual.deltas):
-        return 0.0
     front = 0.5 * t ** (n / 2.0 - 1.0) * float(np.prod(inv_sqrt))
     if n == 1:
         pts = np.array([[1.0], [-1.0]])
@@ -296,16 +292,8 @@ def _shell_values(w: WeightSpec, pts: np.ndarray, t: float, inv_sqrt: np.ndarray
     coords = math.sqrt(t) * pts * inv_sqrt
     vals = np.ones(len(pts))
     for j in range(pts.shape[1]):
-        vals *= _weight_fourier_vec(w, coords[:, j])
+        vals *= weight_fourier_array(w, coords[:, j])
     return vals
-
-
-def _fourier_support_radius(w: WeightSpec) -> float:
-    from .counting import BUMP_PAIR
-
-    if w.kind == BUMP_PAIR:
-        return 2.0 * w.radius
-    return math.inf
 
 
 def quadruple_count(

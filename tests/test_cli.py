@@ -100,6 +100,28 @@ def test_exit_codes():
     assert run_cli(["nonsense-verb"]).returncode == 2
 
 
+@pytest.mark.parametrize("flags", [["--weight", "bump", "--radius", "inf"], ["--sigma", "nan"]])
+def test_non_finite_weight_shape_is_a_validation_error(flags):
+    res = run_cli(["count", "--mode", "inhom", "--lambda", "1", "1", "2", "--p", "5",
+                   "--m", "2", "--N", "5", *flags])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert flags[-2].lstrip("-") in res.stderr
+
+
+def test_bump_counts_do_not_import_scipy():
+    script = (
+        "import sys\n"
+        "from congruence_lab.cli import main\n"
+        "base = ['count', '--mode', 'inhom', '--lambda', '1', '1', '2', '--p', '5', '--m', '2',\n"
+        "        '--N', '25', '--weight', 'bump', '--radius', '0.5', '--output', '/dev/null']\n"
+        "assert main(base) == 0 and main(base + ['--method', 'spectral']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 def test_budget_env_var():
     import os
 

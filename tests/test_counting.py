@@ -15,6 +15,7 @@ from congruence_lab.counting import (
     poisson_identity_check,
     sharp_cutoff_weight,
     weight_eval,
+    weight_eval_array,
     weight_fourier,
     weight_support_cutoff,
 )
@@ -73,12 +74,18 @@ def test_bump_pair_parseval():
     cut = weight_support_cutoff(b)
     xs = np.linspace(-cut, cut, 40001)
     vals = np.array([weight_eval(b, float(x)) for x in xs[:: len(xs) // 2001]])
-    # coarse subsample for speed, then a fine trapezoid on the spline-backed grid
-    from congruence_lab.counting import _weight_eval_vec
-
-    integral = np.trapezoid(_weight_eval_vec(b, xs), xs)
+    # coarse scalar subsample, then a fine trapezoid through the array path
+    integral = np.trapezoid(weight_eval_array(b, xs), xs)
     assert abs(integral - fourier_at_zero(b)) < 1e-6
     assert (vals >= 0).all()
+
+
+@pytest.mark.parametrize("name", ["sigma", "radius"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_weight_spec_rejects_non_finite_or_non_positive_shape(name, value):
+    for kind in ("gaussian", "bump_pair", "sharp_cutoff"):
+        with pytest.raises(ValidationError, match=name):
+            WeightSpec(kind, **{name: value})
 
 
 def test_bump_pair_fourier_is_scaled_self_convolution():
@@ -204,6 +211,21 @@ def test_spectral_small_N_uses_low_frequency_block():
     rd = count_weighted_direct(form, mod, 6.0, b, UNIT_COORDS, strategy="histogram")
     rs = count_weighted_spectral(form, mod, 6.0, b)
     assert abs(rs.T - rd.T) <= 0.01 * rd.T
+
+
+@pytest.mark.parametrize("lams,lnext", [((1, 1, 1, 1, 1, 1), 1), ((1, 2, 3, 4, 1, 2), 3)])
+def test_bump_spectral_matches_direct_tightly(lams, lnext):
+    """With exact bump transforms the two sides of Poisson summation agree far
+    below criterion 8's 1 percent; what remains (~1.5e-11) is the direct box
+    cut where the weight falls below 1e-12."""
+    b = bump_pair_weight(radius=0.5)
+    form = DiagonalForm(lams, lnext)
+    for m in (2, 3, 4):
+        mod = PrimePowerModulus(5, m)
+        N = float(math.ceil(mod.q**0.55))
+        rd = count_weighted_direct(form, mod, N, b, UNIT_COORDS)
+        rs = count_weighted_spectral(form, mod, N, b)
+        assert abs(rs.T - rd.T) <= 1e-9 * rd.T, (lams, m)
 
 
 def test_spectral_matches_literal_frequency_sum():

@@ -18,6 +18,7 @@ from .errors import UnsupportedCase, ValidationError, charge, resolve_budget
 from .modmath import (
     PrimePowerModulus,
     Residue,
+    TWO_PI,
     additive_character,
     epsilon_c,
     invmod,
@@ -156,23 +157,35 @@ def salie_bruteforce(a: int, b: int, c: int) -> complex:
     return total
 
 
-def _closed_root_terms(ab: int, b_for_salie: int | None, modulus: PrimePowerModulus) -> KloostermanClosedForm:
-    """Shared two-root expansion behind the closed Kloosterman/Salie forms."""
-    p, s, c = modulus.p, modulus.m, modulus.q
-    if jacobi_symbol(ab, p) != 1:
+def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
+    """Closed K0 (twisted=False) or K1 (twisted=True) at c = p^s, s >= 2.
+
+    With p dividing neither a nor b, both are sums over the roots u of
+    u^2 = ab mod c, empty when ab is a non-residue mod p:
+    K0(a, b, c) = eps_c sqrt(c) sum_u (u/c) e_c(2u) and
+    K1(a, b, c) = eps_c (b/c) sqrt(c) sum_u e_c(2u).
+    """
+    p, c = modulus.p, modulus.q
+    if modulus.m < 2:
+        raise UnsupportedCase(f"closed {'Salie' if twisted else 'Kloosterman'} form needs exponent m >= 2")
+    a %= c
+    b %= c
+    pa, pb = a % p == 0, b % p == 0
+    if pa and pb:
+        raise UnsupportedCase("p divides both arguments; use the brute-force sum")
+    if pa or pb:
         return ZERO_KLOOSTERMAN
-    roots = sqrt_classes_mod_prime_power(ab, modulus).members()
-    v = roots[0]
+    roots = sqrt_classes_mod_prime_power(a * b, modulus).members()
+    if not roots:
+        return ZERO_KLOOSTERMAN
+    v = roots[0]  # the roots are v and c - v
     eps = epsilon_c(c)
-    if b_for_salie is None:
-        # K0: 2 (v/c) sqrt(c) Re(eps_c e_c(2v)) = (v/c)(eps e(2v) + conj(eps) e(-2v))
-        jac = jacobi_symbol(v, c)
-        terms = ((jac * eps, (2 * v) % c), (jac * eps.conjugate(), (-2 * v) % c))
-    else:
-        # K1: eps_c (b/c) sqrt(c) * sum over both roots of e_c(2v)
-        coeff = jacobi_symbol(b_for_salie, c) * eps
-        terms = tuple((coeff, (2 * u) % c) for u in roots)
-    return KloostermanClosedForm(False, p=p, s=s, terms=terms)
+    # the twist at the roots v, c - v is sign * (1, flip): (b/c) for K1, and for
+    # K0 (v/c) times (1, (-1/c)); grouping sign * (eps * flip) keeps the signed
+    # zeros of the reported coefficients
+    sign, flip = (jacobi_symbol(b, c), 1) if twisted else (jacobi_symbol(v, c), jacobi_symbol(-1, c))
+    terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
+    return KloostermanClosedForm(False, p=p, s=modulus.m, terms=terms)
 
 
 def kloosterman_closed(a: int, b: int, modulus: PrimePowerModulus) -> KloostermanClosedForm:
@@ -182,32 +195,12 @@ def kloosterman_closed(a: int, b: int, modulus: PrimePowerModulus) -> Kloosterma
     Vanishes when ab is a non-residue mod p, and whenever exactly one of a, b
     is divisible by p.  Raises UnsupportedCase when p divides both.
     """
-    p, c = modulus.p, modulus.q
-    if modulus.m < 2:
-        raise UnsupportedCase("closed Kloosterman form needs exponent m >= 2")
-    a %= c
-    b %= c
-    pa, pb = a % p == 0, b % p == 0
-    if pa and pb:
-        raise UnsupportedCase("p divides both arguments; use the brute-force sum")
-    if pa or pb:
-        return ZERO_KLOOSTERMAN
-    return _closed_root_terms((a * b) % c, None, modulus)
+    return _closed_kloosterman_salie(a, b, modulus, twisted=False)
 
 
 def salie_closed(a: int, b: int, modulus: PrimePowerModulus) -> KloostermanClosedForm:
     """Closed K1(a, b, p^m) for m >= 2, mirroring ``kloosterman_closed``."""
-    p, c = modulus.p, modulus.q
-    if modulus.m < 2:
-        raise UnsupportedCase("closed Salie form needs exponent m >= 2")
-    a %= c
-    b %= c
-    pa, pb = a % p == 0, b % p == 0
-    if pa and pb:
-        raise UnsupportedCase("p divides both arguments; use the brute-force sum")
-    if pa or pb:
-        return ZERO_KLOOSTERMAN
-    return _closed_root_terms((a * b) % c, b, modulus)
+    return _closed_kloosterman_salie(a, b, modulus, twisted=True)
 
 
 def restricted_sum_bruteforce(a: int, b: int, alpha: int, modulus: PrimePowerModulus) -> complex:
@@ -270,17 +263,7 @@ def gauss_difference(h: int, lambda_j: int, k_j: int, modulus: PrimePowerModulus
     c = p ** (m - r)
     h1 = (h // p**r) % c
     l1 = (k_j // p**r) % c
-    al = (h1 * lambda_j) % c
-    phase = (-invmod(4 * al, c) * l1 * l1) % c
-    return ExactCharSum(
-        False,
-        rational_factor=p**r,
-        sign=jacobi_symbol(al, c),
-        eps=epsilon_c(c),
-        sqrt_arg=c,
-        phase_num=phase,
-        phase_den=c,
-    )
+    return gauss_sum_closed(h1 * lambda_j, l1, PrimePowerModulus(p, m - r))._replace(rational_factor=p**r)
 
 
 def F_bruteforce(
@@ -317,6 +300,39 @@ def F_bruteforce(
     return complex((outer * inner.prod(axis=0)).sum())
 
 
+def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int) -> tuple[complex, np.ndarray]:
+    """(front, table) for the dual kernel at level r, c = p^(m-r): F(p^r l) =
+    front * table[A] for unit-coordinate l, with A = sum of l_j^2 / lam_j mod c.
+
+    front = eps_c^n p^(n(m+r)/2) (lam_1...lam_n / c) and table[A] =
+    K(-A/4, -lam_{n+1}, c), Kloosterman K0 for even n and Salie K1 for odd n:
+    one pass over the units u mod c adds the twisted root terms of the closed
+    forms (see ``kloosterman_closed``) at u^2, read at ab = A lam_{n+1} / 4.
+    The form's coefficients must be units mod p and 0 <= r <= m - 2.
+    """
+    p, m, n = modulus.p, modulus.m, form.n
+    c = p ** (m - r)
+    prod_lam = 1
+    for lam in form.lambdas:
+        prod_lam = (prod_lam * lam) % c
+    eps = epsilon_c(c)
+    front = eps**n * float(p) ** (n * (m + r) / 2.0) * jacobi_symbol(prod_lam, c)
+    us = np.arange(c, dtype=np.int64)
+    us = us[us % p != 0]
+    root_terms = np.exp(1j * (TWO_PI * ((2 * us) % c) / c))
+    lam_next = form.inhomogeneous_term % c
+    scale = eps * math.sqrt(c)
+    if n % 2 == 0:
+        legendre = np.array([jacobi_symbol(x, p) for x in range(p)], dtype=float)
+        root_terms *= legendre[us % p] ** (m - r)  # (u/c) = (u/p)^(m-r)
+    else:
+        scale *= jacobi_symbol(-lam_next, c)
+    root_sums = np.zeros(c, dtype=np.complex128)
+    np.add.at(root_sums, (us * us) % c, root_terms)
+    ab = (np.arange(c, dtype=np.int64) * (lam_next * invmod(4, c) % c)) % c
+    return front, scale * root_sums[ab]
+
+
 def F_closed(
     r: int,
     l: tuple[int, ...],
@@ -326,9 +342,9 @@ def F_closed(
     """Closed form of F(p^r * l) for unit-coordinate l and 0 <= r <= m - 2.
 
     Evaluates eps^n * p^(n(m+r)/2) * (lam_1...lam_n / p^(m-r)) times the
-    twisted unit sum over h of (h/p^(m-r))^n e(-A/h - lam_{n+1} h), the last
-    factor routed through the closed Kloosterman (n even) or Salie (n odd)
-    form, with A = (1/4) * sum of l_j^2 / lam_j.
+    twisted unit sum over h of (h/p^(m-r))^n e(-A/h - lam_{n+1} h), the
+    closed Kloosterman (n even) or Salie (n odd) sum at A = (1/4) * sum of
+    l_j^2 / lam_j; both factors come from ``dual_kernel_level``.
     """
     p, m = modulus.p, modulus.m
     n = form.n
@@ -340,18 +356,6 @@ def F_closed(
     if any(lj % p == 0 for lj in l):
         raise ValidationError("all l_j must be units mod p")
     c = p ** (m - r)
-    sub = PrimePowerModulus(p, m - r)
-    acc = 0
-    for lj, lam in zip(l, form.lambdas):
-        acc += invmod(lam % c, c) * (lj % c) * (lj % c)
-    big_a = (invmod(4, c) * acc) % c
-    lam_next = form.inhomogeneous_term % c
-    if n % 2 == 0:
-        kval = kloosterman_closed(-big_a, -lam_next, sub).to_complex()
-    else:
-        kval = salie_closed(-big_a, -lam_next, sub).to_complex()
-    prod_lam = 1
-    for lam in form.lambdas:
-        prod_lam = (prod_lam * lam) % c
-    front = epsilon_c(c) ** n * float(p) ** (n * (m + r) / 2.0) * jacobi_symbol(prod_lam, c)
-    return front * kval
+    front, table = dual_kernel_level(form, modulus, r)
+    big_a = sum(invmod(lam % c, c) * lj * lj for lj, lam in zip(l, form.lambdas)) % c
+    return complex(front * table[big_a])

@@ -11,12 +11,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
 from . import charsums, counting, densities, representations, sqrt_expsums
 from .densities import DiagonalForm
-from .errors import BudgetExceeded, CongruenceLabError, UnsupportedCase, ValidationError
+from .errors import (
+    BudgetExceeded,
+    CongruenceLabError,
+    UnsupportedCase,
+    ValidationError,
+    charge,
+    resolve_budget,
+)
 from .modmath import PrimePowerModulus, sqrt_classes_mod_prime_power
 from .representations import DualForm
 
@@ -142,17 +150,34 @@ def _weight_from_args(args) -> counting.WeightSpec:
     return counting.WeightSpec(kind, sigma=args.sigma, radius=args.radius)
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type for --N and --theta: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _resolve_N(args, q: int) -> float:
     if args.N is not None:
         return float(args.N)
     if args.theta is not None:
-        return float(math.ceil(q**args.theta))
+        try:
+            return float(math.ceil(q**args.theta))
+        except OverflowError:
+            raise ValidationError(f"--theta {args.theta} makes N = ceil(q^theta) overflow") from None
     raise ValidationError("give either --N or --theta")
 
 
-def _parse_range(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+def _parse_range(text: str, flag: str) -> range:
+    """LO..HI as the inclusive range LO, ..., HI; malformed or empty is an error."""
+    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text.strip())
+    if not match or int(match[1]) > int(match[2]):
+        raise ValidationError(f"{flag} must be LO..HI with integers LO <= HI, got {text!r}")
+    return range(int(match[1]), int(match[2]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +201,14 @@ def _cmd_eval_kloosterman(args) -> dict:
     mod = PrimePowerModulus(args.p, args.m)
     closed_fn = charsums.salie_closed if args.salie else charsums.kloosterman_closed
     brute_fn = charsums.salie_bruteforce if args.salie else charsums.kloosterman_bruteforce
-    closed_dict = None
-    value = None
     try:
         closed = closed_fn(args.a, args.b, mod)
-        closed_dict = _kloosterman_dict(closed)
-        value = closed.to_complex()
+        closed_dict, value = _kloosterman_dict(closed), closed.to_complex()
     except UnsupportedCase as exc:
-        closed_dict = {"unsupported": str(exc)}
-    if value is None or mod.q <= 100_000:
-        brute = brute_fn(args.a, args.b, mod.q)
-        if value is None:
-            value = brute
-    report = {"re": value.real, "im": value.imag, "closed_form": closed_dict}
-    return report
+        # the literal sum is the only route left
+        charge(mod.q, resolve_budget(args.budget), "brute-force sum")
+        closed_dict, value = {"unsupported": str(exc)}, brute_fn(args.a, args.b, mod.q)
+    return {"re": value.real, "im": value.imag, "closed_form": closed_dict}
 
 
 def _cmd_density(args) -> dict:
@@ -255,7 +274,7 @@ def _cmd_verify_asymptotic(args) -> dict:
     form, mode = _form_for_mode(args)
     w = _weight_from_args(args)
     rows = []
-    for m in _parse_range(args.m_range):
+    for m in _parse_range(args.m_range, "--m-range"):
         mod = PrimePowerModulus(args.p, m)
         N = _resolve_N(args, mod.q)
         rep = counting.count_weighted_direct(
@@ -268,7 +287,7 @@ def _cmd_verify_asymptotic(args) -> dict:
 def _cmd_expsum_scan(args) -> tuple[dict, str]:
     rows = sqrt_expsums.bound_scan(
         args.p,
-        _parse_range(args.s_range),
+        _parse_range(args.s_range, "--s-range"),
         args.trials,
         args.seed,
         c_max=args.c_max,
@@ -311,7 +330,7 @@ def _cmd_singular_series(args) -> dict:
 
 
 def _cmd_quad_count(args) -> dict:
-    c = args.p**args.s
+    c = PrimePowerModulus(args.p, args.s).q
     count = representations.quadruple_count(
         tuple(args.alphas), args.b, c, args.M, p=args.p, budget=args.budget
     )
@@ -493,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--N", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None, help="N = ceil(q^theta)")
+    sp.add_argument("--N", type=_finite_positive, default=None)
+    sp.add_argument("--theta", type=_finite_positive, default=None, help="N = ceil(q^theta)")
     sp.add_argument("--method", choices=["direct", "spectral"], default="direct")
     sp.add_argument("--strategy", choices=["auto", "enumerate", "histogram"], default="auto")
     _add_weight_args(sp)
@@ -506,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m-range", required=True, help="like 2..6")
-    sp.add_argument("--N", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
+    sp.add_argument("--N", type=_finite_positive, default=None)
+    sp.add_argument("--theta", type=_finite_positive, default=None)
     sp.add_argument("--strategy", choices=["auto", "enumerate", "histogram"], default="auto")
     _add_weight_args(sp)
     _add_common(sp)
@@ -534,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--N", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
+    sp.add_argument("--N", type=_finite_positive, default=None)
+    sp.add_argument("--theta", type=_finite_positive, default=None)
     _add_weight_args(sp)
     _add_common(sp)
     sp.set_defaults(func=lambda a: _emit(_cmd_tau(a), a.format, a.output))
@@ -563,53 +582,53 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
 
+    for sub in subs.choices.values():
+        sub.allow_abbrev = False  # a --config key then names exactly the flag it spells
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset options from a key=value file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return
-    provided = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            provided.add(tok[2:].split("=")[0].replace("-", "_"))
-    with open(args.config) as fh:
+def _with_config(argv: list[str]) -> list[str]:
+    """argv followed by the flags its --config file sets and argv does not.
+
+    Each key=value line becomes --key and its values (split on spaces or
+    commas; true/false for on/off flags), so the parser checks file values
+    like flags and rejects unknown keys.  Appending them after argv keeps a
+    list flag from the file from swallowing a positional argument.
+    """
+    pre = argparse.ArgumentParser(prog="congruence-lab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if not path:
+        return argv
+    given = {tok[2:].partition("=")[0] for tok in argv if tok.startswith("--")}
+    extra: list[str] = []
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            raw = raw.strip()
-            if key in provided or not hasattr(args, key):
+            key, sep, raw = line.partition("=")
+            flag = key.strip().replace("_", "-")
+            if not sep or not flag:
+                raise ValidationError(f"config line {line!r} is not key=value")
+            values = raw.replace(",", " ").split()
+            switch = [v.lower() for v in values]
+            if flag in given or switch == ["false"]:
                 continue
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                value: object = raw.lower() in ("1", "true", "yes")
-            elif isinstance(current, int) and not isinstance(current, bool):
-                value = int(raw)
-            elif isinstance(current, float):
-                value = float(raw)
-            elif isinstance(current, list):
-                value = [int(tok) for tok in raw.replace(",", " ").split()]
-            else:
-                value = raw
-            setattr(args, key, value)
+            extra += [f"--{flag}", *([] if switch == ["true"] else values)]
+    return argv + extra
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        args = build_parser().parse_args(_with_config(argv))
         result = args.func(args)
         return int(result) if isinstance(result, int) else 0
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (CongruenceLabError, ValueError, OSError) as exc:
+    except (CongruenceLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,20 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charsums import kloosterman_closed, salie_closed
-from .densities import (
-    DiagonalForm,
-    count_B_m,
-    cyclic_convolution_exact,
-    square_value_histogram,
-)
+from .charsums import dual_kernel_level
+from .densities import DiagonalForm, _convolved_count, count_B_m
 from .errors import (
     TruncationInsufficient,
     ValidationError,
     charge,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, epsilon_c, invmod, jacobi_symbol
+from .modmath import PrimePowerModulus, invmod
 
 GAUSSIAN = "gaussian"
 BUMP_PAIR = "bump_pair"
@@ -301,22 +296,14 @@ def local_density(form: DiagonalForm, p: int, mode: str) -> Fraction:
     normalized by p^(n-1)."""
     target = form.inhomogeneous_term % p
     if mode == UNIT_COORDS:
-        count = _exact_count(form.lambdas, target, p, p, units_only=True)
+        count = _convolved_count(form.lambdas, target, p, p, units_only=True)
     elif mode == NOT_ALL_ZERO:
-        count = _exact_count(form.lambdas, target, p, p, units_only=False)
+        count = _convolved_count(form.lambdas, target, p, p, units_only=False)
         if target == 0:
             count -= 1
     else:
         raise ValidationError(f"unknown mode {mode!r}")
     return Fraction(count, p ** (form.n - 1))
-
-
-def _exact_count(coeffs, target, q, p, units_only):
-    acc = None
-    for coeff in coeffs:
-        hist = square_value_histogram(coeff, q, p, units_only)
-        acc = hist if acc is None else cyclic_convolution_exact(acc, hist)
-    return acc[target % q]
 
 
 def _fold_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -429,7 +416,9 @@ def count_weighted_direct(
     q, p = modulus.q, modulus.p
     form.require_unit_coefficients(p)
     budget_val = resolve_budget(budget)
-    X = math.ceil(weight_support_cutoff(w) * N)
+    extent = weight_support_cutoff(w) * N
+    charge(2 * extent + 1, budget_val, "weight table")
+    X = math.ceil(extent)
     n = form.n
     if strategy == "auto":
         outer = (2 * X + 1) ** (n - 1)
@@ -537,7 +526,6 @@ def count_weighted_spectral(
         axis_points += n * (2 * t_max + 1)
     for r in range(0, m - 1):
         c = p ** (m - r)
-        sub = PrimePowerModulus(p, m - r)
         L = k_cutoff // p**r
         vs = np.array([v for v in range(1, L + 1) if v % p != 0], dtype=np.int64)
         if len(vs) == 0:
@@ -553,18 +541,9 @@ def count_weighted_spectral(
             np.add.at(g, res, fw)
             dists.append(g)
         wdist = reduce(lambda a, b: _fold_convolve(a, b, c), dists)
-        inv4 = invmod(4, c)
-        if n % 2 == 0:
-            kvals = [kloosterman_closed(-a_val, -lam_next, sub).to_complex() for a_val in range(c)]
-        else:
-            kvals = [salie_closed(-a_val, -lam_next, sub).to_complex() for a_val in range(c)]
+        front, table = dual_kernel_level(form, modulus, r)
         kernel_evals += c
-        karr = np.asarray(kvals)[(inv4 * np.arange(c)) % c]
-        prod_lam = 1
-        for lam in form.lambdas:
-            prod_lam = (prod_lam * lam) % c
-        front = epsilon_c(c) ** n * float(p) ** (n * (m + r) / 2.0) * jacobi_symbol(prod_lam, c)
-        total += front * complex((wdist * karr).sum())
+        total += front * complex((wdist * table).sum())
 
     U = total * float(N) ** n / float(q) ** (n + 1)
     T = T0 + U.real

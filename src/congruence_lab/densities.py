@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     charge,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, jacobi_symbol
+from .modmath import PrimePowerModulus, jacobi_symbol, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,8 @@ def square_value_histogram(coeff: int, q: int, p: int, units_only: bool) -> list
 def _convolved_count(
     coeffs: tuple[int, ...], target: int, q: int, p: int, units_only: bool
 ) -> int:
-    acc: list[int] | None = None
-    for coeff in coeffs:
-        hist = square_value_histogram(coeff, q, p, units_only)
-        acc = hist if acc is None else cyclic_convolution_exact(acc, hist)
-    assert acc is not None
-    return acc[target % q]
+    hists = [square_value_histogram(coeff, q, p, units_only) for coeff in coeffs]
+    return reduce(cyclic_convolution_exact, hists)[target % q]
 
 
 def density_B(form: DiagonalForm, p: int) -> DensityValue:
@@ -115,7 +112,7 @@ def density_B(form: DiagonalForm, p: int) -> DensityValue:
 
     All of lam_1..lam_{n+1} must be coprime to p.
     """
-    _check_prime(p)
+    require_odd_prime(p)
     form.require_unit_coefficients(p, include_inhomogeneous=True)
     count = _convolved_count(form.lambdas, form.inhomogeneous_term, p, p, True)
     return DensityValue(count, p ** (form.n - 1))
@@ -123,7 +120,7 @@ def density_B(form: DiagonalForm, p: int) -> DensityValue:
 
 def density_A(form: DiagonalForm, p: int) -> DensityValue:
     """Nonzero-vector solution count of the homogeneous Q = 0 mod p over p^(n-1)."""
-    _check_prime(p)
+    require_odd_prime(p)
     if not form.is_homogeneous:
         raise NotHomogeneous("density_A needs a homogeneous form")
     form.require_unit_coefficients(p)
@@ -133,7 +130,7 @@ def density_A(form: DiagonalForm, p: int) -> DensityValue:
 
 def ternary_C_p(l1: int, l2: int, l3: int, p: int) -> Fraction:
     """(p - s_p)(p - 1)/p^2 with s_p = 2 + sum of (-li*lj / p) over pairs."""
-    _check_prime(p)
+    require_odd_prime(p)
     if (l1 * l2 * l3) % p == 0:
         raise CoprimalityViolated("ternary coefficients must be units mod p")
     s_p = (
@@ -163,7 +160,7 @@ def hensel_stability_report(
 
     Nonsingularity mod p makes every entry equal; any drift flags a bug.
     """
-    _check_prime(p)
+    require_odd_prime(p)
     if m_max < 1:
         raise ValidationError("m_max must be at least 1")
     out = []
@@ -171,10 +168,3 @@ def hensel_stability_report(
         count = count_B_m(form, PrimePowerModulus(p, m), budget=budget)
         out.append(Fraction(count, p ** (m * (form.n - 1))))
     return out
-
-
-def _check_prime(p: int) -> None:
-    from .modmath import is_prime
-
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValidationError(f"p={p} must be an odd prime")

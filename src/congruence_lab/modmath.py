@@ -43,6 +43,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """Raise ValidationError unless p is an odd prime."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValidationError(f"p={p} must be an odd prime")
+
+
 def valuation(x: int, p: int) -> int:
     """Largest e with p^e | x, for x != 0."""
     if x == 0:
@@ -71,8 +77,9 @@ class PrimePowerModulus:
     q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (3 <= self.p < MAX_PRIME) or self.p % 2 == 0 or not is_prime(self.p):
+        if self.p >= MAX_PRIME:
             raise ValidationError(f"p={self.p} must be an odd prime below 2^20")
+        require_odd_prime(self.p)
         if not (1 <= self.m <= MAX_EXPONENT):
             raise ValidationError(f"m={self.m} out of range 1..{MAX_EXPONENT}")
         q = self.p**self.m

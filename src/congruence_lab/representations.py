@@ -25,7 +25,7 @@ from .errors import (
     charge,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, invmod
+from .modmath import PrimePowerModulus, invmod, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def singular_coefficient(
     """
     if q < 1:
         raise ValidationError("q must be positive")
-    _check_odd_prime(p)
+    require_odd_prime(p)
     n = dual.n
     if any(d % p == 0 for d in dual.deltas):
         raise CoprimalityViolated("dual coefficients must be units mod p")
@@ -324,10 +324,3 @@ def quadruple_count(
     h2 = np.bincount(((sq[2][:, None] + sq[3][None, :]) % c).ravel(), minlength=c)
     idx = (b - np.arange(c)) % c
     return int((h1 * h2[idx]).sum())
-
-
-def _check_odd_prime(p: int) -> None:
-    from .modmath import is_prime
-
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValidationError(f"p={p} must be an odd prime")

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ValidationError, charge, resolve_budget
-from .modmath import is_prime
+from .modmath import require_odd_prime
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,8 +42,7 @@ class SqrtSumParams:
     mu: int = 0
 
     def __post_init__(self) -> None:
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValidationError("p must be an odd prime")
+        require_odd_prime(self.p)
         if self.s < 2:
             raise ValidationError("s must be at least 2")
         if self.Lambda % self.p == 0:
@@ -196,6 +195,9 @@ def bound_scan(
     identical across runs and thread counts; ``k_cap`` bounds the number of
     k-terms per row (the per-row budget).
     """
+    require_odd_prime(p)
+    if any(s < 2 for s in s_values):
+        raise ValidationError("s must be at least 2")
     if trials < 1:
         raise ValidationError("trials must be positive")
     budget_val = resolve_budget(budget)

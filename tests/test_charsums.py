@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.charsums import (
     F_bruteforce,
     F_closed,
     cochrane_vanishes,
+    dual_kernel_level,
     gauss_difference,
     gauss_sum_bruteforce,
     gauss_sum_closed,
@@ -277,3 +280,46 @@ def test_F_mixed_valuation_is_zero():
     mod = PrimePowerModulus(3, 3)
     assert abs(F_bruteforce((1, 3), form, mod)) < 1e-9 * mod.q
     assert abs(F_bruteforce((9, 1), form, mod)) < 1e-9 * mod.q
+
+
+ODD_PRIMES_BELOW_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+@st.composite
+def _prime_power_args(draw):
+    """(a, b, p, m) with p an odd prime below 50 and p^m <= 2500."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50))
+    m = draw(st.integers(1, int(math.log(2500, p) + 1e-9)))
+    q = p**m
+    return draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)), p, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prime_power_args())
+def test_closed_forms_match_bruteforce_random(args):
+    a, b, p, m = args
+    mod = PrimePowerModulus(p, m)
+    scale = math.sqrt(mod.q)
+    closed = gauss_sum_closed(a, b, mod).to_complex()
+    assert abs(closed - gauss_sum_bruteforce(a, b, mod.q)) < 1e-9 * max(scale, abs(closed))
+    for closed_fn, brute_fn in ((kloosterman_closed, kloosterman_bruteforce), (salie_closed, salie_bruteforce)):
+        if m < 2 or (a % p == 0 and b % p == 0):
+            with pytest.raises(UnsupportedCase):
+                closed_fn(a, b, mod)
+            continue
+        assert abs(closed_fn(a, b, mod).to_complex() - brute_fn(a, b, mod.q)) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("c", [9, 27, 81, 25, 125, 49, 343])
+@pytest.mark.parametrize("lams, lam_next", [((1, 2), 2), ((2, 1, 4), 11)])
+def test_dual_kernel_table_matches_closed_forms(c, lams, lam_next):
+    p = next(q for q in (3, 5, 7) if c % q == 0)
+    s = round(math.log(c, p))
+    form = DiagonalForm(lams, lam_next)
+    table = dual_kernel_level(form, PrimePowerModulus(p, s + 1), 1)[1]
+    closed_fn = kloosterman_closed if form.n % 2 == 0 else salie_closed
+    sub = PrimePowerModulus(p, s)
+    inv4 = pow(4, -1, c)
+    want = [closed_fn(-A * inv4, -lam_next, sub).to_complex() for A in range(c)]
+    assert len(table) == c
+    assert np.abs(table - np.array(want)).max() <= 1e-12 * math.sqrt(c)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.cli import canonical_json, main
 
@@ -13,6 +17,20 @@ def run_cli(args, **kwargs):
         [sys.executable, "-m", "congruence_lab.cli", *args],
         capture_output=True, text=True, **kwargs,
     )
+
+
+def run_main(args):
+    """main() in this process: (exit code, stdout, stderr); parser errors exit via SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+INHOM_COUNT = ["count", "--mode", "inhom", "--lambda", "1", "1", "2", "--p", "5", "--m", "2"]
 
 
 def test_eval_gauss_json():
@@ -144,6 +162,112 @@ def test_config_file_flags_win(tmp_path):
     out2 = run_cli(["count", "--mode", "inhom", "--lambda", "1", "1", "2",
                     "--p", "5", "--m", "2", "--N", "30", "--config", str(cfg)])
     assert json.loads(out2.stdout)["N"] == 30.0
+
+
+def test_config_file_values_are_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("budget=10\n")
+    code, _, err = run_main([*INHOM_COUNT, "--N", "25", "--config", str(cfg)])
+    assert code == 3 and "budget" in err
+    cfg.write_text("theta=0.6\n")
+    code, out, _ = run_main([*INHOM_COUNT, "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["N"] == math.ceil(25**0.6)
+
+
+def test_config_file_unknown_key_is_an_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bogus=3\n")
+    code, out, err = run_main([*INHOM_COUNT, "--N", "25", "--config", str(cfg)])
+    assert code == 2 and out == "" and "bogus" in err
+
+
+def test_config_file_supplies_required_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=1 1 2\n")
+    rest = ["--p", "5", "--m", "2", "--N", "25", "--config", str(cfg)]
+    code, out, _ = run_main(["count", "--mode", "inhom", *rest])
+    assert code == 0 and json.loads(out)["inhomogeneous_term"] == 2
+    code, out, _ = run_main(["count", "--mode", "inhom", "--lambda", "1", "1", "3", *rest])
+    assert code == 0 and json.loads(out)["inhomogeneous_term"] == 3
+    # flags are spelled in full, so an abbreviation cannot slip past "flags win"
+    assert run_main(["count", "--mode", "inhom", "--lam", "1", "1", "3", *rest])[0] == 2
+    # a list from the file must not swallow the verb's positional argument
+    cfg.write_text("deltas=1 1\n")
+    args = ["--p", "3", "--m", "5", "--N", "10"]
+    code, out, _ = run_main(["tau", "2", *args, "--config", str(cfg)])
+    assert code == 0
+    assert out == run_main(["tau", "2", "--deltas", "1", "1", *args])[1]
+
+
+@pytest.mark.parametrize("args, flag", [
+    ([*INHOM_COUNT, "--N", "inf"], "--N"),
+    (["tau", "2", "--deltas", "1", "1", "--p", "3", "--m", "5", "--N", "inf"], "--N"),
+    ([*INHOM_COUNT, "--theta", "1000"], "--theta"),
+    ([*INHOM_COUNT, "--theta", "nan"], "--theta"),
+    (["expsum-scan", "--p", "3", "--s-range", "5..2"], "--s-range"),
+    (["expsum-scan", "--p", "3", "--s-range", "x..2"], "--s-range"),
+    (["verify-asymptotic", "--mode", "hom", "--lambda", "1", "1", "1", "1", "--p", "3",
+      "--m-range", "6..3", "--theta", "0.6"], "--m-range"),
+])
+def test_bad_scale_or_range_is_a_validation_error(args, flag):
+    code, out, err = run_main(args)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and flag in err
+
+
+# good values first and more often: hypothesis shrinks toward the start of each list
+_NUMBERS = st.sampled_from(["25", "0.5", "3", "9", "0.7", "1000", "1e308", "1e-300", "0", "-1", "inf", "nan", "abc"])
+_SMALL_INTS = st.integers(-3, 8).map(str)
+_COEFFS = st.sampled_from(["1", "2", "1", "2", "4", "-1", "3", "0"])
+_PRIMES = st.sampled_from(["3", "5", "3", "5", "7", "2", "9", "0", "-5"])
+_EXPONENTS = st.sampled_from(["2", "3", "1", "2", "3", "0", "-1"])
+_RANGES = st.sampled_from(["2..3", "1..2", "2..2", "3..2", "x..2", "2", "..", "-1..1"])
+
+
+@st.composite
+def _argv(draw):
+    """An argv drawn from a small grammar of every verb but selftest, good and bad values mixed."""
+    coeffs = lambda lo, hi: [draw(_COEFFS) for _ in range(draw(st.integers(lo, hi)))]  # noqa: E731
+    scale = draw(st.sampled_from([["--N"], ["--theta"], []]))
+    scale = scale + [draw(_NUMBERS)] if scale else []
+    weight = draw(st.sampled_from([[], ["--weight", "bump"], ["--sigma"], ["--weight", "sharp"], ["--radius"]]))
+    if weight[-1:] in (["--sigma"], ["--radius"]):
+        weight = weight + [draw(_NUMBERS)]
+    p, m = ["--p", draw(_PRIMES)], ["--m", draw(_EXPONENTS)]
+    verb = draw(st.sampled_from(["eval-gauss", "eval-kloosterman", "density", "count",
+                                 "verify-asymptotic", "expsum-scan", "tau", "singular-series",
+                                 "quad-count"]))
+    if verb in ("eval-gauss", "eval-kloosterman"):
+        args = [draw(_SMALL_INTS), draw(_SMALL_INTS), draw(_PRIMES), draw(_EXPONENTS)]
+        if verb == "eval-kloosterman" and draw(st.booleans()):
+            args.append("--salie")
+    elif verb == "density":
+        args = [draw(st.sampled_from("ABC")), "--lambda", *coeffs(1, 4), *p]
+    elif verb == "count":
+        args = ["--mode", draw(st.sampled_from(["inhom", "hom"])), "--lambda", *coeffs(1, 4), *p, *m,
+                *scale, *weight, *draw(st.sampled_from([[], ["--method", "spectral"]]))]
+    elif verb == "verify-asymptotic":
+        args = ["--mode", draw(st.sampled_from(["inhom", "hom"])), "--lambda", *coeffs(1, 4), *p,
+                "--m-range", draw(_RANGES), *scale, *weight]
+    elif verb == "expsum-scan":
+        args = [*p, "--s-range", draw(_RANGES), "--trials", draw(st.sampled_from(["1", "2", "0"])),
+                "--k-cap", "100"]
+    elif verb == "tau":
+        args = [draw(_SMALL_INTS), "--deltas", *coeffs(1, 4), *p, *m, *scale, *weight]
+    elif verb == "singular-series":
+        args = [draw(_SMALL_INTS), "--deltas", *coeffs(3, 5), *p, "--q-max", draw(_SMALL_INTS)]
+    else:
+        args = ["--alphas", *coeffs(4, 4), "--b", draw(_SMALL_INTS), *p, "--s", draw(_EXPONENTS),
+                "--M", draw(_SMALL_INTS)]
+    return [verb, *args, "--budget", "20000"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_cli_grammar_exits_cleanly(argv):
+    code, _, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
 
 
 def test_output_file_and_plain_format(tmp_path):

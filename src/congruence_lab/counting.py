@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -306,18 +307,33 @@ def local_density(form: DiagonalForm, p: int, mode: str) -> Fraction:
     return Fraction(count, p ** (form.n - 1))
 
 
-def _fold_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    full = np.convolve(a, b)
-    out = np.zeros(q, dtype=full.dtype)
-    np.add.at(out, np.arange(len(full)) % q, full)
-    return out
+def _cyclic_convolution(factors, q: int) -> np.ndarray:
+    """Cyclic convolution mod q of float histograms given as (histogram, power)
+    pairs, each histogram taken power times: one rfft per pair, a pointwise
+    power and product of the spectra, one inverse transform."""
+    spectrum = np.ones(q // 2 + 1, dtype=complex)
+    for hist, power in factors:
+        spectrum *= np.fft.rfft(hist) ** power
+    return np.fft.irfft(spectrum, q)
+
+
+def _residue_histograms(coeffs, squares: np.ndarray, weights: np.ndarray, q: int):
+    """(histogram of coeff * squares mod q weighted by weights, multiplicity)
+    for each distinct coefficient mod q: the factors of _cyclic_convolution."""
+    return [(np.bincount(coeff * squares % q, weights=weights, minlength=q), power)
+            for coeff, power in Counter(c % q for c in coeffs).items()]
+
+
+def _fft_cost(n: int, q: int) -> int:
+    """Budget estimate of n length-q transforms: n * q * ceil(log2 q)."""
+    return n * q * (q - 1).bit_length()
 
 
 def _axis_data(
     form: DiagonalForm, q: int, p: int, N: float, w: WeightSpec, X: int, restrict: str
 ):
-    """Per-coordinate admissible lattice values, weights, and residues, plus the
-    weight of every x in [-X, X] at table[x + X].
+    """Per-coordinate admissible lattice values, their weights and squares mod q,
+    plus the weight of every x in [-X, X] at table[x + X].
 
     restrict is "none", "units" (x coprime to p) or "pdiv" (p | x).
     """
@@ -327,20 +343,14 @@ def _axis_data(
         xs = xs[xs % p != 0]
     elif restrict == "pdiv":
         xs = xs[xs % p == 0]
-    residues = [((lam % q) * ((xs * xs) % q)) % q for lam in form.lambdas]
-    return xs, table[xs + X], residues, table
+    return xs, table[xs + X], (xs * xs) % q, table
 
 
 def _count_histogram(form, q, p, N, w, X, restrict, target):
-    xs, wts, residues, _ = _axis_data(form, q, p, N, w, X, restrict)
+    xs, wts, squares, _ = _axis_data(form, q, p, N, w, X, restrict)
     if len(xs) == 0:
         return 0.0, {"axis_points": 0, "convolutions": 0}
-    hists = []
-    for res in residues:
-        h = np.zeros(q)
-        np.add.at(h, res, wts)
-        hists.append(h)
-    acc = reduce(lambda a, b: _fold_convolve(a, b, q), hists)
+    acc = _cyclic_convolution(_residue_histograms(form.lambdas, squares, wts, q), q)
     cost = {"axis_points": int(len(xs) * form.n), "convolutions": form.n - 1}
     return float(acc[target % q]), cost
 
@@ -354,7 +364,7 @@ def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
     solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
     lam_solve = form.lambdas[solve_idx] % q
     inv_solve = invmod(lam_solve, q)
-    xs, wts, sq, table = _axis_data(form, q, p, N, w, X, restrict)
+    xs, wts, squares, table = _axis_data(form, q, p, N, w, X, restrict)
     outer_idx = [j for j in range(n) if j != solve_idx]
     outer_size = len(xs) ** len(outer_idx)
     charge(outer_size, budget, "box enumeration")
@@ -365,7 +375,8 @@ def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
     pdiv_roots = restrict == "pdiv"
     total = 0.0
     target = form.inhomogeneous_term % q
-    pairs = [list(zip(sq[j].tolist(), wts.tolist())) for j in outer_idx]
+    pairs = [list(zip(((form.lambdas[j] % q) * squares % q).tolist(), wts.tolist()))
+             for j in outer_idx]
     for combo in itertools.product(*pairs):
         s = 0
         wt = 1.0
@@ -408,6 +419,8 @@ def count_weighted_direct(
     through modular square-root classes; "histogram" groups the identical sum
     by residues (per-coordinate weighted histograms, cyclically convolved),
     which handles the wide boxes enumeration cannot.  "auto" picks by size.
+    The histogram strategy costs O(n * (X + q log q)) for a box [-X, X]^n:
+    one real FFT per distinct coefficient mod q and one inverse transform.
     """
     if mode not in (UNIT_COORDS, NOT_ALL_ZERO):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -428,7 +441,8 @@ def count_weighted_direct(
 
     target = form.inhomogeneous_term % q
     if strategy == "histogram":
-        charge(n * (2 * X + 1) + n * q * q, budget_val, "histogram count")
+        passes = 1 if mode == UNIT_COORDS else 2
+        charge(passes * (n * (2 * X + 1) + _fft_cost(n, q)), budget_val, "histogram count")
         if mode == UNIT_COORDS:
             T, cost = _count_histogram(form, q, p, N, w, X, "units", target)
         else:
@@ -530,17 +544,11 @@ def count_weighted_spectral(
         vs = np.array([v for v in range(1, L + 1) if v % p != 0], dtype=np.int64)
         if len(vs) == 0:
             continue
-        charge(n * (len(vs) + c * c), budget_val, "spectral frequency sum")
+        charge(n * len(vs) + _fft_cost(n, c), budget_val, "spectral frequency sum")
         axis_points += n * len(vs)
         fw = 2.0 * weight_fourier_array(w, (p**r) * vs * N / q)  # +-v folded
-        dists = []
-        for lam in form.lambdas:
-            inv_lam = invmod(lam % c, c)
-            res = (inv_lam * ((vs * vs) % c)) % c
-            g = np.zeros(c)
-            np.add.at(g, res, fw)
-            dists.append(g)
-        wdist = reduce(lambda a, b: _fold_convolve(a, b, c), dists)
+        inverses = [invmod(lam % c, c) for lam in form.lambdas]
+        wdist = _cyclic_convolution(_residue_histograms(inverses, (vs * vs) % c, fw, c), c)
         front, table = dual_kernel_level(form, modulus, r)
         kernel_evals += c
         total += front * complex((wdist * table).sum())

@@ -8,9 +8,11 @@ Densities are exact rationals end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -103,8 +105,30 @@ def square_value_histogram(coeff: int, q: int, p: int, units_only: bool) -> list
 def _convolved_count(
     coeffs: tuple[int, ...], target: int, q: int, p: int, units_only: bool
 ) -> int:
-    hists = [square_value_histogram(coeff, q, p, units_only) for coeff in coeffs]
-    return reduce(cyclic_convolution_exact, hists)[target % q]
+    """Entry target of the cyclic convolution of the coefficients' square-value
+    histograms: the first ceil(n/2) and the last floor(n/2) histograms are
+    convolved exactly, and the two halves meet in one exact dot product."""
+    hists = {coeff % q: square_value_histogram(coeff, q, p, units_only) for coeff in coeffs}
+    half = (len(coeffs) + 1) // 2
+    left = reduce(cyclic_convolution_exact, [hists[coeff % q] for coeff in coeffs[:half]])
+    if half == len(coeffs):
+        return left[target % q]
+    right = reduce(cyclic_convolution_exact, [hists[coeff % q] for coeff in coeffs[half:]])
+    return sum(map(mul, left, [right[(target - i) % q] for i in range(q)]))
+
+
+def _convolved_count_cost(n: int, q: int, total: int) -> int:
+    """Budget estimate of _convolved_count for n histograms of length q that each
+    sum to total: q per histogram and per slot pass, plus digits^log2(3) for each
+    Kronecker product of operands of that many 30-bit digits (CPython's
+    Karatsuba multiplication)."""
+    cost = n * q
+    for size in ((n + 1) // 2, n // 2):
+        for k in range(2, size + 1):
+            width = (total**k).bit_length() // 8 + 1  # cyclic_convolution_exact's slot
+            digits = q * width * 8 // 30 + 1
+            cost += 2 * q + math.ceil(digits ** math.log2(3))
+    return cost
 
 
 def density_B(form: DiagonalForm, p: int) -> DensityValue:
@@ -145,11 +169,15 @@ def ternary_C_p(l1: int, l2: int, l3: int, p: int) -> Fraction:
 def count_B_m(form: DiagonalForm, modulus: PrimePowerModulus, budget: int | None = None) -> int:
     """Exact number of unit-coordinate solutions of Q = 0 mod p^m.
 
-    Histogram convolution mod p^m; cost roughly n * q^(1+o(1)) rather than q^n.
+    Histogram convolution mod q = p^m instead of q^n enumeration: two exact
+    half-chains of about n/2 Kronecker products each, on operands of about
+    q * (n/2) * log2(q) bits, which Karatsuba multiplication takes in
+    O(n * (n q log q)^log2(3)) digit operations, then one length-q dot product.
     """
     q, p = modulus.q, modulus.p
     form.require_unit_coefficients(p)
-    charge(form.n * q, resolve_budget(budget), "count_B_m histograms")
+    charge(_convolved_count_cost(form.n, q, q - q // p), resolve_budget(budget),
+           "count_B_m half-chains")
     return _convolved_count(form.lambdas, form.inhomogeneous_term, q, p, True)
 
 

@@ -8,6 +8,7 @@ budget (a rough count of inner-loop operations).  Exceeding it raises
 from __future__ import annotations
 
 import os
+from decimal import Decimal
 
 
 class CongruenceLabError(Exception):
@@ -87,4 +88,5 @@ def resolve_budget(budget: int | None = None) -> int:
 def charge(cost: int, budget: int, what: str = "operation") -> None:
     """Raise ``BudgetExceeded`` when an estimated cost is over budget."""
     if cost > budget:
-        raise BudgetExceeded(f"{what} needs ~{cost:.3g} ops, budget is {budget}")
+        # Decimal keeps an integer cost beyond float range formattable
+        raise BudgetExceeded(f"{what} needs ~{Decimal(cost):.3g} ops, budget is {budget}")

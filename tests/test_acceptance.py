@@ -221,6 +221,30 @@ def test_criterion_07_inhomogeneous_asymptotic():
     report(7, ok and elapsed < 900, f"{detail}, {elapsed:.1f}s")
 
 
+def test_six_square_asymptotic_to_5_6_at_default_budget(monkeypatch):
+    """The six-square count mod 5^m, m = 4..6, direct and spectral with a
+    Gaussian weight, runs under the default budget; T/T0 stays within 0.25
+    and the two routes agree to 1e-9."""
+    monkeypatch.delenv("CONGRUENCE_LAB_BUDGET", raising=False)
+    start = time.time()
+    form = DiagonalForm((1, 1, 1, 1, 1, 1), 1)
+    w = gaussian_weight()
+    rows = []
+    for m in (4, 5, 6):
+        mod = PrimePowerModulus(5, m)
+        N = float(math.ceil(mod.q**0.55))
+        rd = count_weighted_direct(form, mod, N, w, UNIT_COORDS)
+        rs = count_weighted_spectral(form, mod, N, w)
+        gap = abs(rs.T - rd.T) / rd.T
+        rows.append((m, rd.ratio, rs.ratio, gap))
+    elapsed = time.time() - start
+    ok = all(abs(rd - 1.0) <= 0.25 and abs(rs - 1.0) <= 0.25 and gap <= 1e-9
+             for _, rd, rs, gap in rows)
+    detail = ", ".join(f"m={m}: {rd:.4f}/{rs:.4f} gap {gap:.1e}" for m, rd, rs, gap in rows)
+    print(f"{'PASS' if ok else 'FAIL'} six squares at the default budget: {detail}, {elapsed:.1f}s")
+    assert ok, detail
+
+
 def test_criterion_08_spectral_direct_crosscheck():
     """Frequency-side and lattice-side counts agree within 1 percent."""
     start = time.time()

@@ -140,6 +140,23 @@ def test_bump_counts_do_not_import_scipy():
     assert res.returncode == 0, res.stderr
 
 
+def test_budget_refusal_of_an_estimate_beyond_float_range():
+    res = run_cli(["tau", str(10**700), "--deltas", "1", "1", "--p", "3", "--m", "2", "--N", "10"])
+    assert res.returncode == 3
+    assert "budget" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("method", ["direct", "spectral"])
+def test_six_squares_mod_5_6_run_at_the_default_budget(method):
+    import os
+
+    env = {k: v for k, v in os.environ.items() if k != "CONGRUENCE_LAB_BUDGET"}
+    res = run_cli(["count", "--mode", "inhom", "--lambda", "1", "1", "1", "1", "1", "1", "2",
+                   "--p", "5", "--m", "6", "--theta", "0.55", "--method", method], env=env)
+    assert res.returncode == 0, res.stderr
+    assert abs(json.loads(res.stdout)["ratio"] - 1.0) <= 0.25
+
+
 def test_budget_env_var():
     import os
 

@@ -1,12 +1,17 @@
 import math
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.counting import (
     NOT_ALL_ZERO,
     UNIT_COORDS,
     WeightSpec,
+    _cyclic_convolution,
     bump_pair_weight,
     count_weighted_direct,
     count_weighted_spectral,
@@ -269,6 +274,15 @@ def test_budget_exceeded():
                               strategy="enumerate", budget=1000)
 
 
+def test_histogram_count_charges_its_transforms():
+    form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
+    mod = PrimePowerModulus(5, 6)
+    transforms = 6 * mod.q * 14  # n * q * ceil(log2 q)
+    with pytest.raises(BudgetExceeded, match="histogram count"):
+        count_weighted_direct(form, mod, 203.0, gaussian_weight(), UNIT_COORDS,
+                              strategy="histogram", budget=transforms)
+
+
 def test_report_fields():
     g = gaussian_weight()
     rep = count_weighted_direct(DiagonalForm((1, 1), 2), PrimePowerModulus(5, 2), 25.0, g, UNIT_COORDS)
@@ -276,3 +290,37 @@ def test_report_fields():
     assert rep.lambdas == (1, 1) and rep.inhomogeneous_term == 2
     assert rep.mode == UNIT_COORDS
     assert rep.cost and rep.truncation_bound >= 0
+
+
+def fold_convolve(a, b, q):
+    """The O(q^2) linear convolution folded mod q (the FFT convolution's oracle)."""
+    full = np.convolve(a, b)
+    out = np.zeros(q, dtype=full.dtype)
+    np.add.at(out, np.arange(len(full)) % q, full)
+    return out
+
+
+@st.composite
+def _histogram_operands(draw):
+    """(q, operands): 1..7 nonnegative length-q histograms drawn from up to three
+    distinct ones, so some operands repeat."""
+    q = draw(st.one_of(st.integers(1, 400), st.sampled_from([2, 3, 97, 243, 251, 397, 399])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = []
+    for _ in range(3):
+        hist = rng.random(q) * draw(st.sampled_from([1.0, 1e3]))
+        hist[rng.random(q) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = 0.0
+        bases.append(hist)
+    labels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=7))
+    return q, [bases[i] for i in labels], labels, bases
+
+
+@settings(max_examples=200, deadline=None)
+@given(_histogram_operands())
+def test_fft_cyclic_convolution_matches_folded_convolve(args):
+    q, operands, labels, bases = args
+    want = reduce(lambda a, b: fold_convolve(a, b, q), operands)
+    got = _cyclic_convolution([(bases[i], power) for i, power in Counter(labels).items()], q)
+    assert got.shape == (q,)
+    bound = 1e-12 * math.prod(float(op.sum()) for op in operands)
+    assert np.abs(got - want).max() <= bound

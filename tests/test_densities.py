@@ -1,11 +1,16 @@
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.densities import (
     DiagonalForm,
+    _convolved_count,
+    _convolved_count_cost,
     count_B_m,
     cyclic_convolution_exact,
     density_A,
@@ -14,7 +19,13 @@ from congruence_lab.densities import (
     square_value_histogram,
     ternary_C_p,
 )
-from congruence_lab.errors import CoprimalityViolated, NotHomogeneous, ValidationError
+from congruence_lab.errors import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    CoprimalityViolated,
+    NotHomogeneous,
+    ValidationError,
+)
 from congruence_lab.modmath import PrimePowerModulus, jacobi_symbol
 
 RNG = np.random.default_rng(42)
@@ -171,3 +182,33 @@ def test_form_validation():
     f = DiagonalForm((1, 2), 3)
     assert f.n == 2 and not f.is_homogeneous
     assert DiagonalForm((1,)).is_homogeneous
+
+
+def full_chain_count(coeffs, target, q, p, units_only):
+    """The n - 1 exact convolutions of the whole chain (the half-chain count's oracle)."""
+    hists = [square_value_histogram(coeff, q, p, units_only) for coeff in coeffs]
+    return reduce(cyclic_convolution_exact, hists)[target % q]
+
+
+@st.composite
+def _convolved_count_args(draw):
+    p, m_max = draw(st.sampled_from([(3, 5), (5, 4), (7, 3)]))
+    q = p ** draw(st.integers(1, m_max))
+    coeffs = tuple(draw(st.lists(st.integers(-2 * q, 2 * q), min_size=1, max_size=7)))
+    return coeffs, draw(st.integers(0, q - 1)), q, p, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convolved_count_args())
+def test_half_chain_count_equals_full_chain(args):
+    assert _convolved_count(*args) == full_chain_count(*args)
+
+
+def test_count_B_m_charges_its_half_chains():
+    form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
+    mod = PrimePowerModulus(5, 6)
+    cost = _convolved_count_cost(6, mod.q, mod.q - mod.q // 5)
+    assert 10**7 < cost < DEFAULT_BUDGET  # six squares mod 5^6 fit the default budget
+    with pytest.raises(BudgetExceeded, match="count_B_m"):
+        count_B_m(form, mod, budget=cost - 1)
+    assert count_B_m(form, mod, budget=cost) == 286102294921875000000

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.errors import (
     EvenModulus,
@@ -251,3 +253,48 @@ def test_root_class_set_validation():
         RootClassSet(((1, 4),), 10)  # step does not divide modulus
     with pytest.raises(ValidationError):
         RootClassSet(((7, 5),), 10)  # offset not reduced
+
+
+ODD_PRIMES_BELOW_30 = [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@st.composite
+def _prime_power(draw):
+    """(p, s) with p an odd prime below 30 and p^s <= 3000."""
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_30))
+    return p, draw(st.integers(1, int(math.log(3000, p) + 1e-9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_power(), st.data())
+def test_sqrt_classes_match_exhaustive_squaring(ps, data):
+    p, s = ps
+    mod = PrimePowerModulus(p, s)
+    r = data.draw(st.integers(0, mod.q - 1))
+    roots = [u for u in range(mod.q) if u * u % mod.q == r]
+    got = sqrt_classes_mod_prime_power(r, mod)
+    assert got.members() == roots
+    assert got.count() == len(roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_power(), st.data())
+def test_hensel_lift_matches_exhaustive_squaring(ps, data):
+    p, s = ps
+    mod = PrimePowerModulus(p, s)
+    t = data.draw(st.integers(1, s))
+    w = data.draw(st.integers(0, p**t - 1))
+    if data.draw(st.booleans()):  # r with w^2 = r mod p^t, so the lift exists when p does not divide w
+        r = (w * w + p**t * data.draw(st.integers(0, mod.q))) % mod.q
+    else:
+        r = data.draw(st.integers(0, mod.q - 1))
+    if w % p == 0:
+        with pytest.raises(NotCoprimeRoot):
+            hensel_lift_sqrt(Residue(w, p**t), r, mod)
+    elif (w * w - r) % p**t != 0:
+        with pytest.raises(LiftMismatch):
+            hensel_lift_sqrt(Residue(w, p**t), r, mod)
+    else:
+        lift = hensel_lift_sqrt(Residue(w, p**t), r, mod)
+        assert lift.modulus == mod.q
+        assert [u for u in range(mod.q) if u * u % mod.q == r and u % p == w % p] == [lift.value]

@@ -292,7 +292,6 @@ def _cmd_expsum_scan(args) -> tuple[dict, str]:
         args.seed,
         c_max=args.c_max,
         k_cap=args.k_cap,
-        threads=args.threads,
         budget=args.budget,
     )
     csv_text = sqrt_expsums.scan_rows_to_csv(rows)
@@ -341,7 +340,7 @@ def _cmd_quad_count(args) -> dict:
 # selftest
 
 
-def _selftest_lines(quick: bool, seed: int, threads: int) -> tuple[list[str], bool]:
+def _selftest_lines(quick: bool, seed: int) -> tuple[list[str], bool]:
     lines: list[str] = []
     ok = True
 
@@ -435,10 +434,10 @@ def _selftest_lines(quick: bool, seed: int, threads: int) -> tuple[list[str], bo
         worst = max(worst, abs(rs.T - rd.T) / max(rd.T, 1e-12))
     record("spectral-vs-direct", worst < 0.01, f"max_rel_gap={worst:.3e}")
 
-    # scan determinism across thread counts
+    # scan determinism across runs
     s_hi = 5 if quick else 7
-    rows_a = sqrt_expsums.bound_scan(3, range(2, s_hi + 1), 10, seed=seed, threads=1)
-    rows_b = sqrt_expsums.bound_scan(3, range(2, s_hi + 1), 10, seed=seed, threads=max(threads, 2))
+    rows_a = sqrt_expsums.bound_scan(3, range(2, s_hi + 1), 10, seed=seed)
+    rows_b = sqrt_expsums.bound_scan(3, range(2, s_hi + 1), 10, seed=seed)
     same = [(r.params, r.value) for r in rows_a] == [(r.params, r.value) for r in rows_b]
     max_norm = max(r.normalized for r in rows_a)
     record("scan-determinism", same and max_norm < 10.0, f"max_normalized={max_norm:.6f}")
@@ -448,7 +447,7 @@ def _selftest_lines(quick: bool, seed: int, threads: int) -> tuple[list[str], bo
 
 
 def _cmd_selftest(args) -> int:
-    lines, ok = _selftest_lines(args.quick, args.seed, args.threads)
+    lines, ok = _selftest_lines(args.quick, args.seed)
     text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -466,7 +465,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     sub.add_argument("--output", default=None, help="write the report to a file")
     sub.add_argument("--budget", type=int, default=None, help="inner-loop operation budget")
-    sub.add_argument("--threads", type=int, default=1, help="worker pool size")
+    sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     sub.add_argument("--config", default=None, help="key=value defaults file (flags win)")
 
 

@@ -14,21 +14,20 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .charsums import dual_kernel_level
-from .densities import DiagonalForm, _convolved_count, count_B_m
+from .densities import DiagonalForm, mod_p_density
 from .errors import (
     TruncationInsufficient,
     ValidationError,
     charge,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, invmod
+from .modmath import PrimePowerModulus, invmod, sqrt_classes_mod_prime_power
 
 GAUSSIAN = "gaussian"
 BUMP_PAIR = "bump_pair"
@@ -292,19 +291,13 @@ class CountReport:
     truncation_bound: float
 
 
-def local_density(form: DiagonalForm, p: int, mode: str) -> Fraction:
-    """Solution density of Q = lam_{n+1} mod p under the mode's side condition,
-    normalized by p^(n-1)."""
-    target = form.inhomogeneous_term % p
-    if mode == UNIT_COORDS:
-        count = _convolved_count(form.lambdas, target, p, p, units_only=True)
-    elif mode == NOT_ALL_ZERO:
-        count = _convolved_count(form.lambdas, target, p, p, units_only=False)
-        if target == 0:
-            count -= 1
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    return Fraction(count, p ** (form.n - 1))
+def _main_term(
+    form: DiagonalForm, modulus: PrimePowerModulus, N: float, w: WeightSpec, mode: str
+) -> float:
+    """T0 = density * fhat(0)^n * N^n / q, the density taken mod p under the
+    mode's side condition (see count_weighted_spectral for why mod p suffices)."""
+    density = mod_p_density(form, modulus.p, units_only=mode == UNIT_COORDS).as_rational
+    return float(density) * fourier_at_zero(w) ** form.n * float(N) ** form.n / modulus.q
 
 
 def _cyclic_convolution(factors, q: int) -> np.ndarray:
@@ -357,8 +350,6 @@ def _count_histogram(form, q, p, N, w, X, restrict, target):
 
 def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
     """Literal outer-box enumeration with the solved-coordinate square-root trick."""
-    from .modmath import sqrt_classes_mod_prime_power
-
     n = form.n
     # solve for the largest coefficient; tie-break on the highest index
     solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
@@ -459,8 +450,7 @@ def count_weighted_direct(
             T = t_full - t_pdiv
             cost = {k: c1[k] + c2[k] for k in c1}
 
-    density = local_density(form, p, mode)
-    T0 = float(density) * fourier_at_zero(w) ** n * float(N) ** n / q
+    T0 = _main_term(form, modulus, N, w, mode)
     ratio = T / T0 if T0 > 0 else math.nan
     trunc = 2 * n * (2 * X + 1) ** (n - 1) * WEIGHT_NEGLIGIBLE
     return CountReport(
@@ -480,9 +470,13 @@ def count_weighted_spectral(
 ) -> CountReport:
     """The same count through the dual side: T = N^n q^{-(n+1)} sum of Psi(k) F(k).
 
-    The zero frequency is the exact main term (an exact rational solution
-    count); nonzero frequencies contribute only at vectors p^r * l with all
-    l_j coprime to p and 0 <= r <= m - 2, where the closed kernel applies.
+    The zero frequency is the main term T0 from the mod-p density.  Every
+    lam_j is a unit mod p, so each unit-coordinate solution mod p is
+    nonsingular and Hensel's lemma lifts it to exactly p^(n-1) solutions per
+    level: #{x mod p^m} = p^((m-1)(n-1)) * #{x mod p}, which makes that
+    density exact at every m.  Nonzero frequencies contribute only at vectors
+    p^r * l with all l_j coprime to p and 0 <= r <= m - 2, where the closed
+    kernel applies.
     Frequencies are grouped by the value of the dual quadratic form mod
     p^(m-r), so the kernel is evaluated once per residue class.
     """
@@ -494,9 +488,7 @@ def count_weighted_spectral(
     budget_val = resolve_budget(budget)
 
     fa0 = fourier_at_zero(w)
-    bm = count_B_m(form, modulus, budget=budget_val)
-    density = Fraction(bm, p ** (m * (n - 1)))
-    T0 = float(density) * fa0**n * float(N) ** n / q
+    T0 = _main_term(form, modulus, N, w, UNIT_COORDS)
 
     ycut = fourier_tail_cutoff(w)
     if not math.isfinite(ycut):

@@ -131,6 +131,16 @@ def _convolved_count_cost(n: int, q: int, total: int) -> int:
     return cost
 
 
+def mod_p_density(form: DiagonalForm, p: int, units_only: bool) -> DensityValue:
+    """Solution count of Q = lam_{n+1} mod p over p^(n-1): unit coordinates,
+    or (units_only False) every vector but the zero one."""
+    target = form.inhomogeneous_term % p
+    count = _convolved_count(form.lambdas, target, p, p, units_only)
+    if not units_only and target == 0:
+        count -= 1
+    return DensityValue(count, p ** (form.n - 1))
+
+
 def density_B(form: DiagonalForm, p: int) -> DensityValue:
     """Unit-coordinate solution count of Q = 0 mod p over p^(n-1).
 
@@ -138,8 +148,7 @@ def density_B(form: DiagonalForm, p: int) -> DensityValue:
     """
     require_odd_prime(p)
     form.require_unit_coefficients(p, include_inhomogeneous=True)
-    count = _convolved_count(form.lambdas, form.inhomogeneous_term, p, p, True)
-    return DensityValue(count, p ** (form.n - 1))
+    return mod_p_density(form, p, units_only=True)
 
 
 def density_A(form: DiagonalForm, p: int) -> DensityValue:
@@ -148,8 +157,7 @@ def density_A(form: DiagonalForm, p: int) -> DensityValue:
     if not form.is_homogeneous:
         raise NotHomogeneous("density_A needs a homogeneous form")
     form.require_unit_coefficients(p)
-    count = _convolved_count(form.lambdas, 0, p, p, False) - 1
-    return DensityValue(count, p ** (form.n - 1))
+    return mod_p_density(form, p, units_only=False)
 
 
 def ternary_C_p(l1: int, l2: int, l3: int, p: int) -> Fraction:

@@ -9,6 +9,7 @@ congruences in four squares.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -185,8 +186,6 @@ def singular_coefficient_naive(q: int, k: int, dual: DualForm, p: int) -> float:
     n = dual.n
     total = 0.0 + 0.0j
     coords = [x for x in range(pq) if x % p != 0]
-    import itertools
-
     for a in range(1, q + 1):
         if math.gcd(a, q) != 1:
             continue

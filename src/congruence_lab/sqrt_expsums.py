@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ValidationError, charge, resolve_budget
@@ -192,8 +191,9 @@ def bound_scan(
     """Measure |sum| / (p^(s/2) log p^s) over pseudo-random parameter tuples.
 
     Rows are generated by the documented LCG from ``seed``, so the output is
-    identical across runs and thread counts; ``k_cap`` bounds the number of
-    k-terms per row (the per-row budget).
+    identical across runs; ``k_cap`` bounds the number of k-terms per row
+    (the per-row budget).  ``threads`` is accepted and ignored: the rows run
+    in one thread, since a thread pool bought nothing under the GIL.
     """
     require_odd_prime(p)
     if any(s < 2 for s in s_values):
@@ -209,16 +209,11 @@ def bound_scan(
             all_params.append(_random_row_params(rng, p, s, c_max, min(k_cap, ROW_TERM_BUDGET)))
     charge(sum(ps.K // ps.c + 1 for ps in all_params), budget_val, "bound scan")
 
-    def run(ps: SqrtSumParams) -> BoundScanRow:
+    rows = []
+    for ps in all_params:
         value = sqrt_root_sum(ps)
         denom = p ** (ps.s / 2.0) * math.log(p**ps.s)
-        return BoundScanRow(ps, value, abs(value) / denom)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, all_params))
-    else:
-        rows = [run(ps) for ps in all_params]
+        rows.append(BoundScanRow(ps, value, abs(value) / denom))
     return rows
 
 

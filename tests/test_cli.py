@@ -157,6 +157,23 @@ def test_six_squares_mod_5_6_run_at_the_default_budget(method):
     assert abs(json.loads(res.stdout)["ratio"] - 1.0) <= 0.25
 
 
+def test_six_square_asymptotic_at_5_7_default_budget(monkeypatch):
+    """Six squares mod 5^7 at the default budget: both methods, Gaussian and bump
+    weights, T/T0 within 0.25 and direct and spectral T within 1e-9."""
+    monkeypatch.delenv("CONGRUENCE_LAB_BUDGET", raising=False)
+    base = ["count", "--mode", "inhom", "--lambda", "1", "1", "1", "1", "1", "1", "2",
+            "--p", "5", "--m", "7", "--theta", "0.55"]
+    for weight in ([], ["--weight", "bump", "--radius", "0.5"]):
+        T = {}
+        for method in ("direct", "spectral"):
+            code, out, err = run_main(base + weight + ["--method", method])
+            assert code == 0, err
+            report = json.loads(out)
+            assert abs(report["T"] / report["T0"] - 1.0) <= 0.25
+            T[method] = report["T"]
+        assert abs(T["spectral"] - T["direct"]) <= 1e-9 * T["direct"], weight
+
+
 def test_budget_env_var():
     import os
 

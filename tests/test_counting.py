@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -24,7 +25,7 @@ from congruence_lab.counting import (
     weight_fourier,
     weight_support_cutoff,
 )
-from congruence_lab.densities import DiagonalForm
+from congruence_lab.densities import DiagonalForm, count_B_m
 from congruence_lab.errors import (
     BudgetExceeded,
     TruncationInsufficient,
@@ -324,3 +325,27 @@ def test_fft_cyclic_convolution_matches_folded_convolve(args):
     assert got.shape == (q,)
     bound = 1e-12 * math.prod(float(op.sum()) for op in operands)
     assert np.abs(got - want).max() <= bound
+
+
+@st.composite
+def _unit_forms(draw):
+    """(form, modulus): odd p < 12 with p^m <= 2500 and 1..6 coefficients plus an
+    inhomogeneous term, all units mod p and some negative."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    m = draw(st.integers(1, int(math.log(2500, p))))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda v: v % p != 0)
+    lams = draw(st.lists(unit, min_size=1, max_size=6))
+    return DiagonalForm(tuple(lams), draw(unit)), PrimePowerModulus(p, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unit_forms(), st.integers(1, 60), st.sampled_from([gaussian_weight(), bump_pair_weight(0.5)]))
+def test_main_term_from_mod_p_density_matches_exact_count(case, N, w):
+    """Both counts' T0 is bitwise the one built from the exact count mod p^m."""
+    form, mod = case
+    n, p, q = form.n, mod.p, mod.q
+    density = Fraction(count_B_m(form, mod), p ** (mod.m * (n - 1)))
+    want = float(density) * fourier_at_zero(w) ** n * float(N) ** n / q
+    assert count_weighted_spectral(form, mod, float(N), w).T0 == want
+    direct = count_weighted_direct(form, mod, float(N), w, UNIT_COORDS, strategy="histogram")
+    assert direct.T0 == want

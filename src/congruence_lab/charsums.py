@@ -9,6 +9,7 @@ so the two routes can be compared exactly in tests.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -45,10 +46,10 @@ class ExactCharSum(NamedTuple):
     phase_den: int = 1
 
     def to_complex(self) -> complex:
-        if self.is_zero:
+        is_zero, factor, sign, eps, sqrt_arg, phase_num, phase_den = self
+        if is_zero:
             return 0.0 + 0.0j
-        value = self.rational_factor * self.sign * self.eps * math.sqrt(self.sqrt_arg)
-        return value * additive_character(self.phase_num, self.phase_den)
+        return factor * sign * eps * math.sqrt(sqrt_arg) * additive_character(phase_num, phase_den)
 
 
 ZERO_CHAR_SUM = ExactCharSum(is_zero=True)
@@ -95,12 +96,27 @@ def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
     return complex(_phase_array(c)[phases].sum())
 
 
+# Distinct keys seen per modulus are at most c, so every a mod p^m for
+# p^m <= 4096 stays cached; the bound keeps memory fixed on wider sweeps.
+_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int]:
+    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c') for 0 < a < c, where
+    d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b."""
+    d = math.gcd(a, c)
+    a1, c1 = a // d, c // d
+    return d, c1, jacobi_symbol(a1, c1), epsilon_c(c1), invmod(4 * a1, c1)
+
+
 def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum:
     """Closed form of G(a, b, p^m) for odd prime powers.
 
     The gcd d = (a, c) is factored out first; the sum vanishes unless d | b,
     degenerates to a linear sum when c | a, and otherwise equals
-    d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').
+    d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').  The part
+    that does not depend on b is cached per (a mod c, c).
     """
     c = modulus.q
     a %= c
@@ -108,22 +124,13 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     if a == 0:
         # pure linear sum: c if c | b else 0
         if b == 0:
-            return ExactCharSum(False, rational_factor=c)
+            return ExactCharSum(False, c)
         return ZERO_CHAR_SUM
-    d = math.gcd(a, c)
+    d, c1, sign, eps, inv_4a1 = _gauss_unit_part(a, c)
     if b % d != 0:
         return ZERO_CHAR_SUM
-    a1, b1, c1 = a // d, b // d, c // d
-    phase = (-invmod(4 * a1, c1) * b1 * b1) % c1
-    return ExactCharSum(
-        False,
-        rational_factor=d,
-        sign=jacobi_symbol(a1, c1),
-        eps=epsilon_c(c1),
-        sqrt_arg=c1,
-        phase_num=phase,
-        phase_den=c1,
-    )
+    b1 = b // d
+    return ExactCharSum(False, d, sign, eps, c1, (-inv_4a1 * b1 * b1) % c1, c1)
 
 
 def kloosterman_bruteforce(a: int, b: int, c: int) -> complex:
@@ -157,6 +164,12 @@ def salie_bruteforce(a: int, b: int, c: int) -> complex:
     return total
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _sqrt_roots(r: int, modulus: PrimePowerModulus) -> tuple[int, ...]:
+    """Every u mod p^m with u^2 = r, ascending, for r reduced mod p^m."""
+    return tuple(sqrt_classes_mod_prime_power(r, modulus).members())
+
+
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
     """Closed K0 (twisted=False) or K1 (twisted=True) at c = p^s, s >= 2.
 
@@ -175,7 +188,7 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
         raise UnsupportedCase("p divides both arguments; use the brute-force sum")
     if pa or pb:
         return ZERO_KLOOSTERMAN
-    roots = sqrt_classes_mod_prime_power(a * b, modulus).members()
+    roots = _sqrt_roots(a * b % c, modulus)
     if not roots:
         return ZERO_KLOOSTERMAN
     v = roots[0]  # the roots are v and c - v
@@ -185,7 +198,7 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     # zeros of the reported coefficients
     sign, flip = (jacobi_symbol(b, c), 1) if twisted else (jacobi_symbol(v, c), jacobi_symbol(-1, c))
     terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
-    return KloostermanClosedForm(False, p=p, s=modulus.m, terms=terms)
+    return KloostermanClosedForm(False, p, modulus.m, terms)
 
 
 def kloosterman_closed(a: int, b: int, modulus: PrimePowerModulus) -> KloostermanClosedForm:

@@ -84,11 +84,14 @@ def sharp_cutoff_weight(radius: float = 1.0) -> WeightSpec:
 
 
 class _Gaussian:
+    # at huge |x| the square overflows to inf and exp(-inf) is the exact 0.0
     def values(self, w, xs):
-        return np.exp(-math.pi * xs * xs / (w.sigma * w.sigma))
+        with np.errstate(over="ignore"):
+            return np.exp(-math.pi * xs * xs / (w.sigma * w.sigma))
 
     def fourier(self, w, ys):
-        return w.sigma * np.exp(-math.pi * (w.sigma * ys) ** 2)
+        with np.errstate(over="ignore"):
+            return w.sigma * np.exp(-math.pi * (w.sigma * ys) ** 2)
 
     def support_cutoff(self, w):
         return 6.0 * w.sigma

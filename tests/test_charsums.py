@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_lab import charsums
 from congruence_lab.charsums import (
+    ExactCharSum,
     F_bruteforce,
     F_closed,
     cochrane_vanishes,
+    KloostermanClosedForm,
     dual_kernel_level,
     gauss_difference,
     gauss_sum_bruteforce,
@@ -25,7 +28,11 @@ from congruence_lab.errors import BudgetExceeded, UnsupportedCase
 from congruence_lab.modmath import (
     PrimePowerModulus,
     Residue,
+    additive_character,
+    epsilon_c,
+    invmod,
     jacobi_symbol,
+    sqrt_classes_mod_prime_power,
     valuation,
 )
 
@@ -323,3 +330,130 @@ def test_dual_kernel_table_matches_closed_forms(c, lams, lam_next):
     want = [closed_fn(-A * inv4, -lam_next, sub).to_complex() for A in range(c)]
     assert len(table) == c
     assert np.abs(table - np.array(want)).max() <= 1e-12 * math.sqrt(c)
+
+
+# Uncached closed forms as they stood before the per-(a, q) caches: the
+# oracles the cached paths must reproduce field for field.
+
+
+def _gauss_closed_reference(a, b, modulus):
+    c = modulus.q
+    a %= c
+    b %= c
+    if a == 0:
+        if b == 0:
+            return ExactCharSum(False, rational_factor=c)
+        return ExactCharSum(is_zero=True)
+    d = math.gcd(a, c)
+    if b % d != 0:
+        return ExactCharSum(is_zero=True)
+    a1, b1, c1 = a // d, b // d, c // d
+    phase = (-invmod(4 * a1, c1) * b1 * b1) % c1
+    return ExactCharSum(
+        False,
+        rational_factor=d,
+        sign=jacobi_symbol(a1, c1),
+        eps=epsilon_c(c1),
+        sqrt_arg=c1,
+        phase_num=phase,
+        phase_den=c1,
+    )
+
+
+def _to_complex_reference(cs):
+    if cs.is_zero:
+        return 0.0 + 0.0j
+    value = cs.rational_factor * cs.sign * cs.eps * math.sqrt(cs.sqrt_arg)
+    return value * additive_character(cs.phase_num, cs.phase_den)
+
+
+def _kloosterman_salie_reference(a, b, modulus, twisted):
+    p, c = modulus.p, modulus.q
+    if modulus.m < 2:
+        raise UnsupportedCase("needs m >= 2")
+    a %= c
+    b %= c
+    pa, pb = a % p == 0, b % p == 0
+    if pa and pb:
+        raise UnsupportedCase("p divides both arguments")
+    if pa or pb:
+        return KloostermanClosedForm(is_zero=True)
+    roots = sqrt_classes_mod_prime_power(a * b, modulus).members()
+    if not roots:
+        return KloostermanClosedForm(is_zero=True)
+    v = roots[0]
+    eps = epsilon_c(c)
+    sign, flip = (jacobi_symbol(b, c), 1) if twisted else (jacobi_symbol(v, c), jacobi_symbol(-1, c))
+    terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
+    return KloostermanClosedForm(False, p=p, s=modulus.m, terms=terms)
+
+
+@st.composite
+def _gauss_cache_args(draw):
+    """(p, m1, m2, a, bs): two exponents of one prime and arguments in
+    [-3q, 3q] for the larger q, multiples of p and a = 0 mod q included."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    m1, m2 = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    q = p ** max(m1, m2)
+    small = p ** min(m1, m2)
+    arg = st.one_of(
+        st.integers(-3 * q, 3 * q),
+        st.integers(-3 * q // p, 3 * q // p).map(lambda x: p * x),
+        st.integers(-3, 3).map(lambda x: small * x),
+    )
+    return p, m1, m2, draw(arg), draw(st.lists(arg, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gauss_cache_args())
+def test_cached_gauss_closed_matches_uncached_oracle(args):
+    p, m1, m2, a, bs = args
+    mod1, mod2 = PrimePowerModulus(p, m1), PrimePowerModulus(p, m2)
+    # the same residue of a at both moduli, interleaved, so a key that
+    # dropped the modulus would hand one modulus the other's entry
+    shared = a % min(mod1.q, mod2.q)
+    for b in bs:
+        for a_arg, mod in ((a, mod1), (shared, mod2), (shared, mod1), (a, mod2)):
+            got = gauss_sum_closed(a_arg, b, mod)
+            want = _gauss_closed_reference(a_arg, b, mod)
+            assert got == want and repr(got) == repr(want), (a_arg, b, mod)
+            assert repr(got.to_complex()) == repr(_to_complex_reference(want))
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3)])
+def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
+    mod = PrimePowerModulus(p, m)
+    c = mod.q
+    for a in range(c):
+        for b in range(c):
+            if a % p == 0 and b % p == 0:
+                continue
+            if a % p and b % p:
+                want_roots = tuple(sqrt_classes_mod_prime_power(a * b, mod).members())
+                assert charsums._sqrt_roots(a * b % c, mod) == want_roots
+            for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
+                got = closed_fn(a, b, mod)
+                want = _kloosterman_salie_reference(a, b, mod, twisted)
+                assert got == want and repr(got) == repr(want), (a, b, c, twisted)
+    for closed_fn in (kloosterman_closed, salie_closed):
+        with pytest.raises(UnsupportedCase):
+            closed_fn(1, 1, PrimePowerModulus(p, 1))
+        with pytest.raises(UnsupportedCase):
+            closed_fn(p, 2 * p, mod)
+
+
+def test_closed_form_caches_stay_bounded():
+    big = PrimePowerModulus(3, 9)
+    for cache in (charsums._gauss_unit_part, charsums._sqrt_roots):
+        assert cache.cache_info().maxsize == charsums._CACHE_SIZE
+    units = [x for x in range(1, big.q) if x % 3][: charsums._CACHE_SIZE + 100]
+    for a in units:
+        gauss_sum_closed(a, 1, big)
+        kloosterman_closed(a, 1, big)
+    for cache, key in ((charsums._gauss_unit_part, (units[-1], big.q)), (charsums._sqrt_roots, (units[-1], big))):
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        value = cache(*key)
+        assert cache.cache_info().hits == info.hits + 1
+        assert isinstance(value, tuple)
+        hash(value)  # immutable all the way down

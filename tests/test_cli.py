@@ -43,6 +43,28 @@ def test_eval_gauss_json():
     assert data["bruteforce"]["re"] == pytest.approx(math.sqrt(5))
 
 
+# --format json stdout recorded before the closed forms cached their
+# b-independent parts; the caches must leave every byte unchanged.
+PINNED_EVAL_REPORTS = {
+    "eval-gauss 0 0 5 2": '{"bruteforce":{"im":0,"re":25},"closed_form":{"eps":{"im":0,"re":1},"is_zero":false,"phase_den":1,"phase_num":0,"rational_factor":25,"sign":1,"sqrt_arg":1},"im":0,"re":25}\n',
+    "eval-gauss 0 3 5 2": '{"bruteforce":{"im":-1.1102230246251565e-16,"re":-4.4408920985006262e-16},"closed_form":{"is_zero":true},"im":0,"re":0}\n',
+    "eval-gauss 10 5 5 3": '{"bruteforce":{"im":17.113677648217216,"re":18.224215685535292},"closed_form":{"eps":{"im":0,"re":1},"is_zero":false,"phase_den":25,"phase_num":3,"rational_factor":5,"sign":1,"sqrt_arg":25},"im":17.113677648217216,"re":18.224215685535288}\n',
+    "eval-gauss 12 345 7 4": '{"bruteforce":{"im":-40.47967951572987,"re":-27.611511119527623},"closed_form":{"eps":{"im":0,"re":1},"is_zero":false,"phase_den":2401,"phase_num":1572,"rational_factor":1,"sign":1,"sqrt_arg":2401},"im":-40.479679515729877,"re":-27.611511119527648}\n',
+    "eval-gauss -4 9 3 5": '{"bruteforce":{"im":7.7942286340599445,"re":13.500000000000005},"closed_form":{"eps":{"im":1,"re":0},"is_zero":false,"phase_den":243,"phase_num":81,"rational_factor":1,"sign":-1,"sqrt_arg":243},"im":7.7942286340599445,"re":13.500000000000002}\n',
+    "eval-kloosterman 7 13 5 3": '{"closed_form":{"is_zero":false,"p":5,"s":3,"terms":[{"coeff":{"im":0,"re":1},"phase_num":58},{"coeff":{"im":0,"re":1},"phase_num":67}]},"im":-2.1722173840913641e-15,"re":-21.791083334510766}\n',
+    "eval-kloosterman 7 13 5 3 --salie": '{"closed_form":{"is_zero":false,"p":5,"s":3,"terms":[{"coeff":{"im":0,"re":-1},"phase_num":58},{"coeff":{"im":0,"re":-1},"phase_num":67}]},"im":2.1722173840913641e-15,"re":21.791083334510766}\n',
+    "eval-kloosterman 7 11 5 3": '{"closed_form":{"is_zero":true},"im":0,"re":0}\n',
+    "eval-kloosterman 7 11 5 3 --salie": '{"closed_form":{"is_zero":true},"im":0,"re":0}\n',
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_EVAL_REPORTS))
+def test_eval_reports_are_byte_identical(command):
+    code, out, err = run_main([*command.split(), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == PINNED_EVAL_REPORTS[command]
+
+
 def test_eval_kloosterman_vanishing():
     res = run_cli(["eval-kloosterman", "3", "1", "3", "2"])
     data = json.loads(res.stdout)

@@ -2,6 +2,7 @@
 public functions against the array path."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from congruence_lab.counting import (
     SHARP_CUTOFF,
     WeightSpec,
     bump_pair_weight,
+    gaussian_weight,
     weight_eval,
     weight_eval_array,
     weight_fourier,
@@ -81,3 +83,14 @@ def test_scalar_functions_equal_array_path(kind, shape, xs):
         assert weight_fourier(w, x) == f
     assert (values >= 0).all()
     assert (weight_eval_array(w, -arr) == values).all()
+
+
+def test_gaussian_at_huge_argument_is_zero_without_warning():
+    w = gaussian_weight(1.0)
+    xs = np.array([0.5, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = weight_eval_array(w, xs)
+        transform = weight_fourier_array(w, xs)
+    assert values[1] == 0.0 and transform[1] == 0.0
+    assert values[0] == math.exp(-math.pi * 0.25) and transform[0] == math.exp(-math.pi * 0.25)

@@ -9,6 +9,7 @@ so the two routes can be compared exactly in tests.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -118,6 +119,8 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').  The part
     that does not depend on b is cached per (a mod c, c).
     """
+    if type(a) is not int or type(b) is not int:
+        a, b = operator.index(a), operator.index(b)
     c = modulus.q
     a %= c
     b %= c
@@ -178,6 +181,8 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     K0(a, b, c) = eps_c sqrt(c) sum_u (u/c) e_c(2u) and
     K1(a, b, c) = eps_c (b/c) sqrt(c) sum_u e_c(2u).
     """
+    if type(a) is not int or type(b) is not int:
+        a, b = operator.index(a), operator.index(b)
     p, c = modulus.p, modulus.q
     if modulus.m < 2:
         raise UnsupportedCase(f"closed {'Salie' if twisted else 'Kloosterman'} form needs exponent m >= 2")

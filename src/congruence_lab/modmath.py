@@ -11,6 +11,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     EvenModulus,
@@ -212,6 +216,79 @@ def _lift_sqrt(w: int, r: int, p: int, t: int, s: int) -> int:
         cur = (cur + h * step) % (p**t2)
         t = t2
     return cur
+
+
+def residue_dtype(m: int) -> type:
+    """Array dtype for residues mod m: int64 while a product of two residues
+    fits (m^2 < 2^63), else object, holding exact Python ints."""
+    return np.int64 if m * m < 1 << 63 else object
+
+
+class PrimeTables(NamedTuple):
+    """Read-only int64 tables over the residues x mod p.
+
+    ``legendre[x]`` is (x/p), ``root[x]`` the canonical square root in
+    [0, p/2] (-1 for non-residues) and ``inverse[x]`` is x^{-1} (0 at x = 0).
+    """
+
+    legendre: np.ndarray
+    root: np.ndarray
+    inverse: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def prime_tables(p: int) -> PrimeTables:
+    """Legendre, canonical-root and inverse tables mod the odd prime p."""
+    require_odd_prime(p)
+    if residue_dtype(p) is object:
+        raise ValidationError(f"tables mod p={p} need p^2 < 2^63")
+    half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    root = np.full(p, -1, dtype=np.int64)
+    root[0] = 0
+    root[half * half % p] = half  # the squares of 1..(p-1)/2 are distinct
+    legendre = np.where(root > 0, 1, -1)
+    legendre[0] = 0
+    inverse = np.zeros(p, dtype=np.int64)
+    inverse[1:] = _pow_array(np.arange(1, p, dtype=np.int64), p - 2, p)
+    for table in (legendre, root, inverse):
+        table.flags.writeable = False
+    return PrimeTables(legendre, root, inverse)
+
+
+def _pow_array(x: np.ndarray, e: int, m: int) -> np.ndarray:
+    """x^e mod m elementwise in int64, for m^2 < 2^63 and 0 <= x < m."""
+    out = np.ones_like(x)
+    while e:
+        if e & 1:
+            out = out * x % m
+        x = x * x % m
+        e >>= 1
+    return out
+
+
+def lift_sqrt_array(z: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
+    """Roots u mod p^s with u^2 = z and u = w mod p, elementwise.
+
+    ``z`` holds units mod p^s that are squares mod p and ``w`` their roots
+    mod p.  Newton's inverse-square-root step y <- y (3 - z y^2) / 2 doubles
+    the precision of y = 1/sqrt(z) from y = w^{-1} mod p, and u = z y.  The
+    arithmetic is int64 while p^(2s) < 2^63, reducing after every product;
+    above that each element goes through the scalar ``_lift_sqrt`` and the
+    result holds Python ints.
+    """
+    q = p**s
+    if residue_dtype(q) is object:
+        roots = (_lift_sqrt(int(wi), int(zi), p, 1, s) for zi, wi in zip(z, w))
+        return np.fromiter(roots, dtype=object, count=len(z))
+    z = np.asarray(z, dtype=np.int64) % q
+    y = prime_tables(p).inverse[np.asarray(w, dtype=np.int64) % p]
+    t = 1
+    while t < s:
+        t = min(2 * t, s)
+        m = p**t
+        h = z * (y * y % m) % m
+        y = y * ((3 - h) % m) % m * ((m + 1) // 2) % m
+    return z * y % q
 
 
 def hensel_lift_sqrt(w: Residue, r: int, target: PrimePowerModulus) -> Residue:

@@ -457,3 +457,31 @@ def test_closed_form_caches_stay_bounded():
         assert cache.cache_info().hits == info.hits + 1
         assert isinstance(value, tuple)
         hash(value)  # immutable all the way down
+
+
+def _field_types(value):
+    return [type(f) for f in value] + [type(x) for term in getattr(value, "terms", ()) for x in term]
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_numpy_integer_arguments_match_python_ints(np_int):
+    """Numpy integers enter as Python ints, on a cold cache as on a warm one."""
+    for p, m in [(5, 2), (3, 3), (7, 2)]:
+        mod = PrimePowerModulus(p, m)
+        c = mod.q
+        for a, b in [(3, 1), (1, 0), (p, 2 * p), (0, c), (-2, 7), (2 * p, 1), (c + 4, -3)]:
+            for fn in (gauss_sum_closed, kloosterman_closed, salie_closed):
+                charsums._gauss_unit_part.cache_clear()
+                charsums._sqrt_roots.cache_clear()
+                try:
+                    got = fn(np_int(a), np_int(b), mod)
+                except UnsupportedCase:
+                    with pytest.raises(UnsupportedCase):
+                        fn(a, b, mod)
+                    continue
+                charsums._gauss_unit_part.cache_clear()
+                charsums._sqrt_roots.cache_clear()
+                want = fn(a, b, mod)
+                assert got == want and repr(got) == repr(want), (fn.__name__, a, b, c)
+                assert _field_types(got) == _field_types(want)
+                assert fn(a, np_int(b), mod) == fn(np_int(a), b, mod) == want

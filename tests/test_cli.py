@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -119,6 +120,23 @@ def test_expsum_scan_csv_and_determinism():
     assert a.returncode == 0 and a.stdout == b.stdout
     header = a.stdout.split("\n", 1)[0]
     assert header == "p,s,Lambda,a,b,c,K,mu,re,im,abs,normalized"
+
+
+# SHA-256 of the stdout of the scalar per-k root-sum loop that the batched
+# lift replaced: the README example, and p = 7 with rows of up to ~10^5 terms
+PINNED_SCAN_SHA256 = {
+    "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":
+        "27f70aa9b393ae43c9d7d3a5e86fee098a0e47a94919beba44db62456d2a76d0",
+    "expsum-scan --p 7 --s-range 2..10 --trials 40 --seed 3 --format csv":
+        "0bcb7d66345fd286a450601e5e7c60248492e0bec787d62d76958ddd1c70b1e3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SCAN_SHA256))
+def test_expsum_scan_bytes_are_pinned(command):
+    code, out, err = run_main(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[command]
 
 
 def test_tau_and_singular_series_and_quad():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,10 @@ from congruence_lab.modmath import (
     epsilon_c,
     hensel_lift_sqrt,
     jacobi_symbol,
+    lift_sqrt_array,
     mod_inverse,
     mod_pow,
+    prime_tables,
     sqrt_classes_mod_prime_power,
     sqrt_mod_prime,
 )
@@ -298,3 +301,54 @@ def test_hensel_lift_matches_exhaustive_squaring(ps, data):
         lift = hensel_lift_sqrt(Residue(w, p**t), r, mod)
         assert lift.modulus == mod.q
         assert [u for u in range(mod.q) if u * u % mod.q == r and u % p == w % p] == [lift.value]
+
+
+ODD_PRIMES_BELOW_50 = ODD_PRIMES_BELOW_30 + [31, 37, 41, 43, 47]
+
+
+def _check_array_lift(p, s, xs, flips):
+    """Lift z = x^2 from the root x or -x mod p; compare with the root classes."""
+    q = p**s
+    mod = PrimePowerModulus(p, s)
+    z = [x * x % q for x in xs]
+    w = [(-x if flip else x) % p for x, flip in zip(xs, flips)]
+    dtype = np.int64 if q < 2**31 else object  # as a caller holding q-sized residues would
+    got = lift_sqrt_array(np.array(z, dtype=dtype), np.array(w, dtype=np.int64), p, s)
+    assert got.dtype == (np.int64 if q * q < 2**63 else object)
+    assert len(got) == len(z)
+    for u, zi, wi in zip(got, z, w):
+        u = int(u)
+        assert u * u % q == zi and u % p == wi
+        assert [r for r in sqrt_classes_mod_prime_power(zi, mod).members() if r % p == wi] == [u]
+
+
+@st.composite
+def _array_lift_args(draw):
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50))
+    s = draw(st.integers(1, int(90 / math.log2(p))))  # p^s < 2^90: both sides of the int64 limit
+    xs = draw(st.lists(st.integers(1, p**s - 1).filter(lambda x: x % p), min_size=0, max_size=12))
+    return p, s, xs, draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_array_lift_args())
+def test_array_lift_matches_root_classes(args):
+    _check_array_lift(*args)
+
+
+@pytest.mark.parametrize("p,s", [(3, 19), (3, 20), (7, 12)])
+def test_array_lift_on_both_sides_of_the_int64_limit(p, s):
+    # 3^19 squared is below 2^63 and runs in int64; 3^20 and 7^12 take the scalar fallback
+    q = p**s
+    xs = [x for x in (1, 2, p + 1, q // 3 + 1, q // 2, q - 2, q - 1) if x % p]
+    _check_array_lift(p, s, xs, [i % 2 == 1 for i in range(len(xs))])
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_50)
+def test_prime_tables_match_scalar_primitives(p):
+    tables = prime_tables(p)
+    assert tables.legendre.tolist() == [jacobi_symbol(x, p) for x in range(p)]
+    want_root = [-1 if sqrt_mod_prime(Residue(x, p)) is None else sqrt_mod_prime(Residue(x, p)).value for x in range(p)]
+    assert tables.root.tolist() == want_root
+    assert tables.inverse.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
+    assert not tables.root.flags.writeable

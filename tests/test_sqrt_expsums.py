@@ -1,6 +1,10 @@
+import cmath
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruence_lab.errors import ValidationError
 from congruence_lab.modmath import (
@@ -9,6 +13,7 @@ from congruence_lab.modmath import (
     jacobi_symbol,
     sqrt_classes_mod_prime_power,
 )
+from congruence_lab import sqrt_expsums
 from congruence_lab.sqrt_expsums import (
     SCAN_CSV_COLUMNS,
     BoundScanRow,
@@ -155,3 +160,132 @@ def test_scan_rows_respect_bound_shape():
         denom = 3 ** (row.params.s / 2.0) * math.log(3**row.params.s)
         assert row.normalized == pytest.approx(abs(row.value) / denom)
     assert max(r.normalized for r in rows) < 10.0
+
+
+# The scalar per-k loop that the batched lift replaced, kept as the exact
+# oracle: the batched sums add the same terms in the same order, so they must
+# agree bit for bit, not just approximately.
+
+
+def _legendre_tables(p):
+    """(legendre symbol, canonical sqrt or -1, inverse or 0) tables mod p."""
+    leg = [0] * p
+    root = [-1] * p
+    inv = [0] * p
+    for x in range(1, p):
+        leg[x] = 1 if pow(x, (p - 1) // 2, p) == 1 else -1
+        inv[x] = pow(x, -1, p)
+    for x in range(1, p):
+        sq = x * x % p
+        if root[sq] < 0:
+            root[sq] = min(x, p - x)
+    root[0] = 0
+    return leg, root, inv
+
+
+def scalar_root_sum(params):
+    """Per-k Newton inverse-square-root lift, one cmath.exp per root."""
+    p, s, c, K, mu = params.p, params.s, params.c, params.K, params.mu
+    q = p**s
+    lam = params.Lambda % q
+    leg, root_tab, inv_tab = _legendre_tables(p)
+    inv2 = pow(2, -1, q)
+    mods = []
+    t = 1
+    while t < s:
+        t = min(2 * t, s)
+        mods.append(p**t)
+    k0 = params.b % c
+    if k0 == 0:
+        k0 = c
+    restricted = params.a is not None
+    if restricted:
+        a_res = params.a % p
+        target_sq = a_res * a_res % p
+        y_start = inv_tab[a_res]
+    odd_twist = mu == 1 and s % 2 == 1
+    total = 0.0 + 0.0j
+    two_pi_over_q = 2.0 * math.pi / q
+    for k in range(k0, K + 1, c):
+        if k % p == 0:
+            continue
+        z = k * lam % q
+        zp = z % p
+        if restricted:
+            if zp != target_sq:
+                continue
+            y = y_start
+        else:
+            if leg[zp] != 1:
+                continue
+            y = inv_tab[root_tab[zp]]
+        for mod_t in mods:
+            y = y * (3 - z * y * y) * inv2 % mod_t
+        u = z * y % q
+        if restricted:
+            total += cmath.exp(complex(0.0, two_pi_over_q * u))
+        else:
+            term = cmath.exp(complex(0.0, two_pi_over_q * u))
+            other = cmath.exp(complex(0.0, two_pi_over_q * (q - u)))
+            if odd_twist:
+                total += leg[u % p] * term + leg[(q - u) % p] * other
+            else:
+                total += term + other
+    if restricted and odd_twist:
+        total *= leg[params.a % p]
+    return total
+
+
+def _same_complex(got, want):
+    return type(got) is complex and (got.real, got.imag) == (want.real, want.imag)
+
+
+@st.composite
+def _root_sum_params(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    s = draw(st.integers(2, 10))
+    q = p**s
+    unit = st.integers(1, q - 1).filter(lambda x: x % p)
+    c = draw(st.integers(1, 64))
+    # K from 1 (often below the first k = b mod c, an empty sum) up to ~3000 terms
+    K = draw(st.integers(1, min(q, 3000 * c)))
+    return SqrtSumParams(
+        p=p, s=s, Lambda=draw(unit), a=draw(st.none() | st.integers(1, p - 1)),
+        b=draw(st.integers(0, c - 1)), c=c, K=K, mu=draw(st.integers(0, 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_root_sum_params())
+def test_root_sum_equals_scalar_loop_exactly(params):
+    assert _same_complex(sqrt_root_sum(params), scalar_root_sum(params))
+
+
+@pytest.mark.parametrize("a,mu", [(None, 0), (None, 1), (1, 0), (2, 1)])
+def test_rows_spanning_several_chunks_equal_scalar_loop(a, mu):
+    # 3^9 and 3^10 terms in int64, ~25000 terms mod 11^10 past the int64 limit:
+    # each row runs over 2 to 4 chunks of CHUNK_TERMS
+    for p, s, lam, c in [(3, 9, 2, 1), (3, 10, 5, 1), (11, 10, 7, 11**10 // 25_000)]:
+        params = SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=0, c=c, K=p**s, mu=mu)
+        assert sqrt_expsums._term_count(params) > sqrt_expsums.CHUNK_TERMS
+        assert _same_complex(sqrt_root_sum(params), scalar_root_sum(params))
+
+
+@pytest.mark.parametrize("p,s_values,k_cap", [(3, range(2, 11), 100_000), (13, [9, 10], 2000), (7, [3, 10], 50_000)])
+def test_scan_rows_equal_single_row_sums(p, s_values, k_cap):
+    rows = bound_scan(p, s_values, 12, seed=7, k_cap=k_cap)
+    for row in rows:
+        assert _same_complex(row.value, sqrt_root_sum(row.params))
+
+
+def test_scan_memory_stays_bounded():
+    """Long rows are evaluated in chunks, never as row-length arrays."""
+    sqrt_root_sum(SqrtSumParams(p=7, s=2, Lambda=1, a=None, b=0, c=1, K=49))  # warm the tables
+    tracemalloc.start()
+    try:
+        rows = bound_scan(7, [10], 3, 1, k_cap=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sqrt_expsums._term_count(r.params) for r in rows) > 5 * sqrt_expsums.CHUNK_TERMS
+    assert peak < 3 * 2**20

@@ -25,6 +25,7 @@ from .modmath import (
     epsilon_c,
     invmod,
     jacobi_symbol,
+    prime_tables,
     sqrt_classes_mod_prime_power,
     valuation,
 )
@@ -341,8 +342,7 @@ def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int) ->
     lam_next = form.inhomogeneous_term % c
     scale = eps * math.sqrt(c)
     if n % 2 == 0:
-        legendre = np.array([jacobi_symbol(x, p) for x in range(p)], dtype=float)
-        root_terms *= legendre[us % p] ** (m - r)  # (u/c) = (u/p)^(m-r)
+        root_terms *= prime_tables(p).legendre[us % p] ** (m - r)  # (u/c) = (u/p)^(m-r)
     else:
         scale *= jacobi_symbol(-lam_next, c)
     root_sums = np.zeros(c, dtype=np.complex128)

@@ -25,6 +25,7 @@ from .errors import (
     TruncationInsufficient,
     ValidationError,
     charge,
+    require_finite_positive,
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, invmod, sqrt_classes_mod_prime_power
@@ -60,8 +61,7 @@ class WeightSpec:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown weight kind {self.kind!r}")
         for name, value in (("sigma", self.sigma), ("radius", self.radius)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"weight {name} must be finite and positive, got {value!r}")
+            require_finite_positive(f"weight {name}", value)
 
 
 def gaussian_weight(sigma: float = 1.0) -> WeightSpec:
@@ -256,8 +256,9 @@ def poisson_identity_check(
     TruncationInsufficient when the weight's decay envelope says either tail
     could exceed 1e-10.
     """
-    if q < 1 or N <= 0 or truncation < 1:
-        raise ValidationError("need q >= 1, N > 0, truncation >= 1")
+    require_finite_positive("N", N)
+    if q < 1 or truncation < 1:
+        raise ValidationError("need q >= 1, truncation >= 1")
     M = truncation * q
     lhs_tail = float(_KINDS[w.kind].value_envelope(w, np.asarray(M / N))) * (N / q + 2.0)
     rhs_tail = float(_KINDS[w.kind].fourier_envelope(w, np.asarray(truncation * N / q))) * (q / N + 2.0)
@@ -418,8 +419,9 @@ def count_weighted_direct(
     """
     if mode not in (UNIT_COORDS, NOT_ALL_ZERO):
         raise ValidationError(f"unknown mode {mode!r}")
-    if N <= 0:
-        raise ValidationError("N must be positive")
+    if strategy not in ("auto", "enumerate", "histogram"):
+        raise ValidationError(f"unknown strategy {strategy!r}")
+    require_finite_positive("N", N)
     q, p = modulus.q, modulus.p
     form.require_unit_coefficients(p)
     budget_val = resolve_budget(budget)
@@ -430,28 +432,17 @@ def count_weighted_direct(
     if strategy == "auto":
         outer = (2 * X + 1) ** (n - 1)
         strategy = "enumerate" if outer <= min(budget_val, 200_000) else "histogram"
-    if strategy not in ("enumerate", "histogram"):
-        raise ValidationError(f"unknown strategy {strategy!r}")
 
+    # the side condition in signed parts: units, or all vectors minus p | every x_j
+    parts = [("units", 1)] if mode == UNIT_COORDS else [("none", 1), ("pdiv", -1)]
     target = form.inhomogeneous_term % q
     if strategy == "histogram":
-        passes = 1 if mode == UNIT_COORDS else 2
-        charge(passes * (n * (2 * X + 1) + _fft_cost(n, q)), budget_val, "histogram count")
-        if mode == UNIT_COORDS:
-            T, cost = _count_histogram(form, q, p, N, w, X, "units", target)
-        else:
-            t_full, c1 = _count_histogram(form, q, p, N, w, X, "none", target)
-            t_pdiv, c2 = _count_histogram(form, q, p, N, w, X, "pdiv", target)
-            T = t_full - t_pdiv
-            cost = {k: c1[k] + c2[k] for k in c1}
+        charge(len(parts) * (n * (2 * X + 1) + _fft_cost(n, q)), budget_val, "histogram count")
+        counts = [_count_histogram(form, q, p, N, w, X, r, target) for r, _ in parts]
     else:
-        if mode == UNIT_COORDS:
-            T, cost = _count_enumerate(form, modulus, q, p, N, w, X, "units", budget_val)
-        else:
-            t_full, c1 = _count_enumerate(form, modulus, q, p, N, w, X, "none", budget_val)
-            t_pdiv, c2 = _count_enumerate(form, modulus, q, p, N, w, X, "pdiv", budget_val)
-            T = t_full - t_pdiv
-            cost = {k: c1[k] + c2[k] for k in c1}
+        counts = [_count_enumerate(form, modulus, q, p, N, w, X, r, budget_val) for r, _ in parts]
+    T = sum(sign * t for (_, sign), (t, _) in zip(parts, counts))
+    cost = {key: sum(c[key] for _, c in counts) for key in counts[0][1]}
 
     T0 = _main_term(form, modulus, N, w, mode)
     ratio = T / T0 if T0 > 0 else math.nan
@@ -461,6 +452,25 @@ def count_weighted_direct(
         lambdas=form.lambdas, inhomogeneous_term=form.inhomogeneous_term,
         weight=w, mode=mode, strategy=strategy, cost=cost, truncation_bound=trunc,
     )
+
+
+def _top_frequency_block(form, p, m, N, w, t_max) -> float:
+    """Sum of Psi(k) F(k) over the nonzero k = p^(m-1) * t with |t_j| <= t_max.
+
+    There F(k) = p^(n(m-1)) sum_u e(-u lam_{n+1}/p) prod_j sum_y e((u lam_j y^2 + t_j y)/p),
+    u mod p and y over the units mod p.  Summing over t weights each y by
+    phi(y) = sum_t fhat(t N/p) e(t y/p), and the sum over u leaves p^(n(m-1)+1)
+    times the phi-weighted histogram convolution mod p at lam_{n+1}.  Weight
+    fhat(0) gives the t = 0 term, which belongs to T0 and is subtracted.
+    """
+    ts = np.arange(-t_max, t_max + 1)
+    folded = np.bincount(ts % p, weights=weight_fourier_array(w, ts * N / p), minlength=p)
+    units = np.arange(1, p)
+    phi = np.fft.fft(folded).real[units]  # folded[s] = folded[-s], so phi is real
+    squares, target = units * units % p, form.inhomogeneous_term % p
+    full, zero = (_cyclic_convolution(_residue_histograms(form.lambdas, squares, wts, p), p)[target]
+                  for wts in (phi, np.full(p - 1, fourier_at_zero(w))))
+    return float(p) ** (form.n * (m - 1) + 1) * float(full - zero)
 
 
 def count_weighted_spectral(
@@ -479,18 +489,17 @@ def count_weighted_spectral(
     level: #{x mod p^m} = p^((m-1)(n-1)) * #{x mod p}, which makes that
     density exact at every m.  Nonzero frequencies contribute only at vectors
     p^r * l with all l_j coprime to p and 0 <= r <= m - 2, where the closed
-    kernel applies.
-    Frequencies are grouped by the value of the dual quadratic form mod
-    p^(m-r), so the kernel is evaluated once per residue class.
+    kernel applies, and at p^(m-1) * t, where the kernel depends only on
+    t mod p (see _top_frequency_block).
+    Frequencies p^r * l are grouped by the value of the dual quadratic form
+    mod p^(m-r), so the kernel is evaluated once per residue class.
     """
     q, p, m = modulus.q, modulus.p, modulus.m
     n = form.n
-    if N <= 0:
-        raise ValidationError("N must be positive")
+    require_finite_positive("N", N)
     form.require_unit_coefficients(p, include_inhomogeneous=True)
     budget_val = resolve_budget(budget)
 
-    fa0 = fourier_at_zero(w)
     T0 = _main_term(form, modulus, N, w, UNIT_COORDS)
 
     ycut = fourier_tail_cutoff(w)
@@ -501,37 +510,16 @@ def count_weighted_spectral(
     if k_cutoff < 0:
         raise ValidationError("k_cutoff must be non-negative")
 
-    lam_next = form.inhomogeneous_term
     total = 0.0 + 0.0j
     kernel_evals = 0
     axis_points = 0
 
-    # Frequencies k = p^(m-1) * t (every coordinate of valuation >= m - 1):
-    # the kernel collapses to the level-one kernel at t mod p, scaled by
-    # p^(n(m-1)).  Significant whenever the Fourier weight at N/p is not.
+    # frequencies k = p^(m-1) * t: significant whenever the Fourier weight at N/p is
     t_max = k_cutoff // p ** (m - 1)
     if t_max > 0:
-        charge(n * p * p * (p + t_max), budget_val, "spectral low-frequency block")
-        phase_p = np.exp(2j * np.pi * np.arange(p) / p)
-        u_col = np.arange(p)[:, None]
-        t_row = np.arange(p)[None, :]
-        low_full = np.ones(p, dtype=np.complex128)
-        low_zero = np.ones(p, dtype=np.complex128)
-        low_weights = weight_fourier_array(w, np.arange(t_max + 1) * N / p).tolist()
-        for lam in form.lambdas:
-            sig = np.zeros((p, p), dtype=np.complex128)
-            lam_p = lam % p
-            for y in range(1, p):
-                sig += phase_p[(u_col * ((lam_p * y * y) % p) + t_row * y) % p]
-            axis_col = fa0 * sig[:, 0].copy()
-            full_col = axis_col.copy()
-            for t in range(1, t_max + 1):
-                full_col += low_weights[t] * (sig[:, t % p] + sig[:, (-t) % p])
-            low_full *= full_col
-            low_zero *= axis_col
-        carrier = phase_p[(-np.arange(p) * (lam_next % p)) % p]
-        low_extra = float(p) ** (n * (m - 1)) * complex((carrier * (low_full - low_zero)).sum())
-        total += low_extra
+        charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * (n * (p - 1) + _fft_cost(n, p)),
+               budget_val, "spectral low-frequency block")
+        total += _top_frequency_block(form, p, m, N, w, t_max)
         axis_points += n * (2 * t_max + 1)
     for r in range(0, m - 1):
         c = p ** (m - r)

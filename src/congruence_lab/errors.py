@@ -7,6 +7,7 @@ budget (a rough count of inner-loop operations).  Exceeding it raises
 
 from __future__ import annotations
 
+import math
 import os
 from decimal import Decimal
 
@@ -83,6 +84,12 @@ def resolve_budget(budget: int | None = None) -> int:
             raise ValidationError(f"{BUDGET_ENV_VAR} must be positive")
         return value
     return DEFAULT_BUDGET
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Raise ``ValidationError`` naming the parameter unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 
 def charge(cost: int, budget: int, what: str = "operation") -> None:

@@ -24,6 +24,7 @@ from .errors import (
     IndefiniteForm,
     ValidationError,
     charge,
+    require_finite_positive,
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, invmod, require_odd_prime
@@ -82,6 +83,7 @@ def tau_n(
     are folded in as a factor 2 per coordinate.
     """
     dual.require_positive_definite()
+    require_finite_positive("N", N)
     if k < 0:
         raise ValidationError("k must be non-negative")
     if r < 0:
@@ -249,8 +251,10 @@ def singular_integral(
     Carlo with a fixed seed, sized for the requested relative accuracy.
     """
     dual.require_positive_definite()
-    if k <= 0 or P < 1:
-        raise ValidationError("need k > 0 and P >= 1")
+    require_finite_positive("k", k)
+    require_finite_positive("P", P)
+    if P < 1:
+        raise ValidationError(f"P must be >= 1, got {P!r}")
     n = dual.n
     t = k / (P * P)
     inv_sqrt = np.array([1.0 / math.sqrt(d) for d in dual.deltas])

@@ -22,9 +22,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ValidationError, charge, resolve_budget
-from .modmath import lift_sqrt_array, prime_tables, require_odd_prime, residue_dtype
-
-TWO_PI = 2.0 * math.pi
+from .modmath import TWO_PI, lift_sqrt_array, prime_tables, require_odd_prime, residue_dtype
 
 ROW_TERM_BUDGET = 10**7
 

@@ -25,6 +25,7 @@ from congruence_lab.counting import (
     weight_fourier,
     weight_support_cutoff,
 )
+from congruence_lab.counting import _top_frequency_block, weight_fourier_array
 from congruence_lab.densities import DiagonalForm, count_B_m
 from congruence_lab.errors import (
     BudgetExceeded,
@@ -349,3 +350,69 @@ def test_main_term_from_mod_p_density_matches_exact_count(case, N, w):
     assert count_weighted_spectral(form, mod, float(N), w).T0 == want
     direct = count_weighted_direct(form, mod, float(N), w, UNIT_COORDS, strategy="histogram")
     assert direct.T0 == want
+
+
+def gauss_matrix_top_block(form, p, m, N, w, t_max):
+    """The top-frequency block by p x p Gauss-sum matrices (the oracle): for each
+    coefficient, sig[u, t] = sum over units y of e((u lam y^2 + t y) / p), folded
+    over |t| <= t_max with the Fourier weights, multiplied over the coordinates,
+    minus the t = 0 product, and summed over u against e(-u lam_{n+1} / p)."""
+    n = form.n
+    fa0 = fourier_at_zero(w)
+    phase_p = np.exp(2j * np.pi * np.arange(p) / p)
+    u_col = np.arange(p)[:, None]
+    t_row = np.arange(p)[None, :]
+    low_full = np.ones(p, dtype=np.complex128)
+    low_zero = np.ones(p, dtype=np.complex128)
+    low_weights = weight_fourier_array(w, np.arange(t_max + 1) * N / p).tolist()
+    for lam in form.lambdas:
+        sig = np.zeros((p, p), dtype=np.complex128)
+        lam_p = lam % p
+        for y in range(1, p):
+            sig += phase_p[(u_col * ((lam_p * y * y) % p) + t_row * y) % p]
+        axis_col = fa0 * sig[:, 0].copy()
+        full_col = axis_col.copy()
+        for t in range(1, t_max + 1):
+            full_col += low_weights[t] * (sig[:, t % p] + sig[:, (-t) % p])
+        low_full *= full_col
+        low_zero *= axis_col
+    carrier = phase_p[(-np.arange(p) * (form.inhomogeneous_term % p)) % p]
+    return float(p) ** (n * (m - 1)) * complex((carrier * (low_full - low_zero)).sum())
+
+
+@st.composite
+def _top_block_cases(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda v: v % p != 0)
+    form = DiagonalForm(tuple(draw(st.lists(unit, min_size=1, max_size=6))), draw(unit))
+    w = draw(st.sampled_from([gaussian_weight(), bump_pair_weight(0.5), bump_pair_weight(1.0)]))
+    N = draw(st.floats(0.3 * p, 3.0 * p))
+    return form, p, draw(st.integers(2, 4)), N, w, draw(st.integers(1, 40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_top_block_cases())
+def test_top_frequency_block_matches_gauss_matrix_oracle(case):
+    """The histogram-convolution block equals the Gauss-matrix block to rounding,
+    measured against the size of the t = 0 term it subtracts."""
+    form, p, m, N, w, t_max = case
+    n = form.n
+    got = _top_frequency_block(form, p, m, N, w, t_max)
+    want = gauss_matrix_top_block(form, p, m, N, w, t_max)
+    scale = float(p) ** (n * (m - 1) + 1) * fourier_at_zero(w) ** n * (p - 1) ** n / p
+    assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("lams, lnext, p, m, N, w", [
+    ((1, 1, 2), 1, 3, 3, 8.0, gaussian_weight()),
+    ((1,) * 6, 1, 5, 2, 6.0, bump_pair_weight(1.0)),
+    ((1,) * 6, 1, 5, 2, 6.0, bump_pair_weight(0.5)),
+    ((1,) * 6, 2, 5, 3, float(math.ceil(125**0.55)), gaussian_weight()),
+])
+def test_spectral_with_top_frequency_block_matches_direct_tightly(lams, lnext, p, m, N, w):
+    form = DiagonalForm(lams, lnext)
+    mod = PrimePowerModulus(p, m)
+    rs = count_weighted_spectral(form, mod, N, w)
+    assert rs.cost["k_cutoff"] // p ** (m - 1) >= 1  # the block runs
+    rd = count_weighted_direct(form, mod, N, w, UNIT_COORDS)
+    assert abs(rs.T - rd.T) <= 1e-9 * rd.T

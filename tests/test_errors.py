@@ -1,9 +1,63 @@
+import math
+
 import pytest
 
+from congruence_lab.counting import (
+    NOT_ALL_ZERO,
+    WeightSpec,
+    count_weighted_direct,
+    count_weighted_spectral,
+    gaussian_weight,
+    poisson_identity_check,
+)
+from congruence_lab.densities import DiagonalForm
 from congruence_lab.errors import BudgetExceeded, charge
+from congruence_lab.errors import ValidationError
+from congruence_lab.modmath import PrimePowerModulus
+from congruence_lab.representations import DualForm, singular_integral, tau_n
 
 
 def test_charge_refuses_an_integer_cost_beyond_float_range():
     with pytest.raises(BudgetExceeded, match=r"needs ~1\.00e\+400 ops"):
         charge(10**400, 10**8, "huge table")
     charge(10**8, 10**8)  # at the budget is still allowed
+
+
+_G = gaussian_weight()
+_FORM = DiagonalForm((1, 1, 2), 1)
+_MOD = PrimePowerModulus(5, 2)
+_DUAL = DualForm((1, 1))
+
+# each entry point with the one scale argument under test left free
+_SCALE_ENTRY_POINTS = {
+    "direct N": ("N", lambda v: count_weighted_direct(_FORM, _MOD, v, _G)),
+    "direct hom N": ("N", lambda v: count_weighted_direct(DiagonalForm((1, 1, 1)), _MOD, v, _G,
+                                                          NOT_ALL_ZERO, strategy="histogram")),
+    "spectral N": ("N", lambda v: count_weighted_spectral(_FORM, _MOD, v, _G)),
+    "poisson N": ("N", lambda v: poisson_identity_check(_G, 7, 3, v, 20)),
+    "tau N": ("N", lambda v: tau_n(2, _DUAL, 0, _G, PrimePowerModulus(3, 5), v)),
+    "singular k": ("k", lambda v: singular_integral(v, 2.0, _DUAL, _G)),
+    "singular P": ("P", lambda v: singular_integral(1.0, v, _DUAL, _G)),
+    "weight sigma": ("sigma", lambda v: WeightSpec("gaussian", sigma=v)),
+    "weight radius": ("radius", lambda v: WeightSpec("bump_pair", radius=v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", list(_SCALE_ENTRY_POINTS))
+def test_non_finite_or_non_positive_scale_is_refused_by_name(entry, value):
+    name, call = _SCALE_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=rf"\b{name}\b"):
+        call(value)
+
+
+def test_singular_integral_keeps_P_at_least_one():
+    with pytest.raises(ValidationError, match=r"\bP\b"):
+        singular_integral(1.0, 0.5, _DUAL, _G)
+
+
+@pytest.mark.parametrize("kwargs", [{"mode": "nonzero"}, {"strategy": "fft"}])
+def test_unknown_mode_or_strategy_is_refused_before_any_charge(kwargs):
+    """A budget of one operation would refuse the weight table; the bad option must win."""
+    with pytest.raises(ValidationError, match="unknown"):
+        count_weighted_direct(_FORM, _MOD, 25.0, _G, budget=1, **kwargs)

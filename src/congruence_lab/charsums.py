@@ -174,6 +174,13 @@ def _sqrt_roots(r: int, modulus: PrimePowerModulus) -> tuple[int, ...]:
     return tuple(sqrt_classes_mod_prime_power(r, modulus).members())
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kloosterman_modulus_part(modulus: PrimePowerModulus) -> tuple[complex, int]:
+    """(eps_c, (-1/c)): the part of the closed K0/K1 body fixed by c alone."""
+    c = modulus.q
+    return epsilon_c(c), jacobi_symbol(-1, c)
+
+
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
     """Closed K0 (twisted=False) or K1 (twisted=True) at c = p^s, s >= 2.
 
@@ -198,11 +205,12 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     if not roots:
         return ZERO_KLOOSTERMAN
     v = roots[0]  # the roots are v and c - v
-    eps = epsilon_c(c)
+    eps, minus_one = _kloosterman_modulus_part(modulus)
     # the twist at the roots v, c - v is sign * (1, flip): (b/c) for K1, and for
     # K0 (v/c) times (1, (-1/c)); grouping sign * (eps * flip) keeps the signed
-    # zeros of the reported coefficients
-    sign, flip = (jacobi_symbol(b, c), 1) if twisted else (jacobi_symbol(v, c), jacobi_symbol(-1, c))
+    # zeros of the reported coefficients.  (x/c) = (x/p)^m for c = p^m.
+    sign = int(prime_tables(p).legendre[(b if twisted else v) % p]) ** modulus.m
+    flip = 1 if twisted else minus_one
     terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
     return KloostermanClosedForm(False, p, modulus.m, terms)
 

@@ -445,6 +445,8 @@ def count_weighted_direct(
     cost = {key: sum(c[key] for _, c in counts) for key in counts[0][1]}
 
     T0 = _main_term(form, modulus, N, w, mode)
+    if mode == UNIT_COORDS and T0 == 0.0:
+        T = 0.0  # no unit solution mod p, so none in the box: drop the FFT's rounding noise
     ratio = T / T0 if T0 > 0 else math.nan
     trunc = 2 * n * (2 * X + 1) ** (n - 1) * WEIGHT_NEGLIGIBLE
     return CountReport(
@@ -514,14 +516,17 @@ def count_weighted_spectral(
     kernel_evals = 0
     axis_points = 0
 
+    # T0 = 0 means no unit-coordinate solution mod p, hence none mod q: T is
+    # exactly 0 and the frequency sums below would only add rounding noise
+    solvable = T0 != 0.0
     # frequencies k = p^(m-1) * t: significant whenever the Fourier weight at N/p is
     t_max = k_cutoff // p ** (m - 1)
-    if t_max > 0:
+    if solvable and t_max > 0:
         charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * (n * (p - 1) + _fft_cost(n, p)),
                budget_val, "spectral low-frequency block")
         total += _top_frequency_block(form, p, m, N, w, t_max)
         axis_points += n * (2 * t_max + 1)
-    for r in range(0, m - 1):
+    for r in range(m - 1 if solvable else 0):
         c = p ** (m - r)
         L = k_cutoff // p**r
         vs = np.array([v for v in range(1, L + 1) if v % p != 0], dtype=np.int64)

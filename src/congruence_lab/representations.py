@@ -27,7 +27,7 @@ from .errors import (
     require_finite_positive,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, invmod, require_odd_prime
+from .modmath import PrimePowerModulus, invmod, require_odd_prime, residue_dtype
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,10 @@ def tau_n(
 
     Sums the product of Fourier weights at p^r * l_i * N / p^m over integer
     vectors with all coordinates coprime to p and sum of Delta_j l_j^2 = k.
-    Cone descent over coordinates sorted by decreasing coefficient; signs
-    are folded in as a factor 2 per coordinate.
+    Meet in the middle: each half of the coordinates gets a table of its
+    partial sums Delta_j v^2 over v >= 1, v != 0 mod p (signs folded in as a
+    factor 2 per coordinate), and the halves are matched by a sorted join of
+    the left sums against k minus the right ones.
     """
     dual.require_positive_definite()
     require_finite_positive("N", N)
@@ -89,69 +91,80 @@ def tau_n(
     if r < 0:
         raise ValidationError("r must be non-negative")
     budget_val = resolve_budget(budget)
-    q = modulus.q
     p = modulus.p
-    order = sorted(range(dual.n), key=lambda j: -dual.deltas[j])
-    deltas = [dual.deltas[j] for j in order]
-    n = dual.n
-    min_tail = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        min_tail[j] = min_tail[j + 1] + deltas[j]
-    if k < min_tail[0]:
+    deltas = dual.deltas
+    if k < sum(deltas):
         return 0.0
     # every coordinate has Delta_j v^2 <= k, so v <= isqrt(k // min Delta)
-    v_max = math.isqrt(k // deltas[-1])
+    v_max = math.isqrt(k // min(deltas))
     charge(v_max + 1, budget_val, "tau weight table")
-    axis_weight = weight_fourier_array(w, (p**r) * N / q * np.arange(v_max + 1)).tolist()
-    nodes = 0
+    # every partial sum stays <= k; Python ints once k leaves int64
+    vs = np.arange(1, v_max + 1, dtype=np.int64 if k < 1 << 63 else object)
+    vs = vs[vs % p != 0]
+    fw = 2.0 * weight_fourier_array(w, (p**r) * N / modulus.q * vs.astype(float))
+    half = dual.n // 2
+    left_sums, left_wts = _tau_half_table(deltas[:half], k - sum(deltas[half:]), vs, fw, budget_val)
+    right_sums, right_wts = _tau_half_table(deltas[half:], k - sum(deltas[:half]), vs, fw, budget_val)
+    # one sort of the right table, one binary search per left entry
+    join_cost = (len(left_sums) + len(right_sums)) * len(right_sums).bit_length()
+    charge(join_cost, budget_val, "tau half-table join")
+    return float(_sorted_join(k - left_sums, left_wts, *_distinct_keys(right_sums, right_wts)))
 
-    def descend(j: int, remaining: int, weight_acc: float) -> float:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget_val:
-            charge(nodes, budget_val, "tau cone descent")
-        d = deltas[j]
-        if j == n - 1:
-            if remaining % d != 0:
-                return 0.0
-            quot = remaining // d
-            v = math.isqrt(quot)
-            if v * v != quot or v == 0 or v % p == 0:
-                return 0.0
-            return weight_acc * 2.0 * axis_weight[v]
-        total = 0.0
-        v = 1
-        while d * v * v + min_tail[j + 1] <= remaining:
-            if v % p != 0:
-                total += descend(j + 1, remaining - d * v * v, weight_acc * 2.0 * axis_weight[v])
-            v += 1
-        return total
 
-    return descend(0, k, 1.0)
+def _tau_half_table(
+    deltas: tuple[int, ...], cap: int, vs: np.ndarray, fw: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums of Delta_j v_j^2 over the given coordinates (v from vs,
+    weighted by fw at the same index) and their weight products, pruned so
+    that every coordinate still to come fits under cap with v = 1.  Never
+    empty: all v = 1 fits."""
+    sums = np.zeros(1, dtype=vs.dtype)
+    wts = np.ones(1)
+    rest = sum(deltas)
+    for d in deltas:
+        rest -= d
+        room = cap - rest
+        # only v with d v^2 <= room, so d v^2 never leaves the dtype
+        vs_d = vs[: np.searchsorted(vs, math.isqrt(room // d), side="right")]
+        sq = d * vs_d * vs_d
+        # ragged outer product: row i takes the v with d v^2 <= room - sums[i]
+        counts = np.searchsorted(sq, room - sums, side="right")
+        total = int(counts.sum())
+        charge(total, budget, "tau half table")
+        rows = np.repeat(np.arange(len(sums)), counts)
+        cols = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+        sums = sums[rows] + sq[cols]
+        wts = wts[rows] * fw[cols]
+    return sums, wts
+
+
+def _distinct_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the summed weights of each."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=weights)
+
+
+def _sorted_join(want: np.ndarray, wts: np.ndarray, keys: np.ndarray, key_wts: np.ndarray):
+    """Sum of wts[i] * key_wts[j] over the pairs with want[i] = keys[j], for
+    distinct ascending keys: one binary search per entry of want."""
+    idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = keys[idx] == want
+    return np.dot(wts[hit], key_wts[idx[hit]])
 
 
 @lru_cache(maxsize=512)
 def _coefficient_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
     """Products over coordinates of the unit-restricted quadratic sums
-    sum_{x mod pq, (x,p)=1} e_q(a Delta_j x^2), for every unit a mod q."""
-    pq = p * q
-    xs = np.arange(pq, dtype=np.int64)
-    xs = xs[xs % p != 0]
-    sq = (xs * xs) % q
-    phases = np.exp(2j * np.pi * np.arange(q) / q)
-    units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1] if q > 1 else [1]
-    table = np.zeros(q + 1, dtype=np.complex128)
-    per_coeff: dict[int, np.ndarray] = {}
-    for a in units:
-        prod = 1.0 + 0.0j
-        for d in deltas:
-            key = (a * (d % q)) % q
-            col = per_coeff.get(key)
-            if col is None:
-                col = complex(phases[(key * sq) % q].sum())
-                per_coeff[key] = col
-            prod *= col
-        table[a] = prod
+    S(b) = sum_{x mod pq, (x,p)=1} e_q(b x^2) at b = a Delta_j, for every a
+    mod q; zero at the non-units a."""
+    xs = np.arange(p * q, dtype=np.int64)
+    xs = xs[xs % p != 0] % q
+    # S(b) = sum_r #{x : x^2 = r mod q} e_q(b r): one inverse DFT for every b
+    sums = q * np.fft.ifft(np.bincount(xs * xs % q, minlength=q))
+    a = np.arange(q, dtype=np.int64)
+    table = (np.gcd(a, q) == 1).astype(np.complex128)
+    for d in deltas:
+        table *= sums[a * (d % q) % q]
     return table
 
 
@@ -162,7 +175,8 @@ def singular_coefficient(
 
     a_q(k) = (pq)^(-n) sum over units a mod q of e_q(-a k) times the
     unit-coordinate character sum over x mod pq, the latter factorized into
-    a product of one-variable quadratic sums and cached per modulus.
+    a product of one-variable quadratic sums.  Those come for every a at
+    once from one DFT of the square histogram mod q, cached per modulus.
     """
     if q < 1:
         raise ValidationError("q must be positive")
@@ -170,14 +184,11 @@ def singular_coefficient(
     n = dual.n
     if any(d % p == 0 for d in dual.deltas):
         raise CoprimalityViolated("dual coefficients must be units mod p")
-    charge(q * n * p * q, resolve_budget(budget), "singular coefficient")
+    # square histogram, one transform, n gathers and the final phase sum
+    charge(q * (p + (q - 1).bit_length() + n + 1), resolve_budget(budget), "singular coefficient")
     table = _coefficient_phase_table(q, p, dual.deltas)
-    total = 0.0 + 0.0j
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
-        total += table[a] * np.exp(-2j * np.pi * ((a * k) % q) / q)
-    return float(total.real / (p * q) ** n)
+    phases = np.exp(-2j * np.pi * (np.arange(q, dtype=np.int64) * (k % q) % q) / q)
+    return float((table @ phases).real / (p * q) ** n)
 
 
 def singular_coefficient_naive(q: int, k: int, dual: DualForm, p: int) -> float:
@@ -309,8 +320,12 @@ def quadruple_count(
 ) -> int:
     """Exact count of |l_i| <= M with alpha_1 l_1^2 + ... + alpha_4 l_4^2 = b mod c.
 
-    Meet in the middle: the two pair-sum histograms mod c are built in
-    O(M^2) and correlated in O(c).  Requires the hypothesis 8 M^2 < c.
+    Meet in the middle over l >= 0, a nonzero l standing for +-l: the pair
+    (alpha_3, alpha_4) gets a sorted table of its distinct sums mod c with
+    multiplicities, and one searchsorted of b minus each pair sum of
+    (alpha_1, alpha_2) mod c matches the two.  Nothing of length c is
+    allocated; residues are Python ints once products mod c leave int64.
+    Requires the hypothesis 8 M^2 < c.
     """
     if len(alphas) != 4:
         raise ValidationError("exactly four coefficients are required")
@@ -320,10 +335,15 @@ def quadruple_count(
         raise HypothesisViolated(f"8*M^2 = {8 * M * M} must be below c = {c}")
     if p is not None and any(a % p == 0 for a in alphas):
         raise CoprimalityViolated("coefficients must be units mod p")
-    charge(4 * (2 * M + 1) ** 2 + 2 * c, resolve_budget(budget), "quadruple count")
-    ls = np.arange(-M, M + 1, dtype=np.int64)
-    sq = [(a % c) * ((ls * ls) % c) % c for a in alphas]
-    h1 = np.bincount(((sq[0][:, None] + sq[1][None, :]) % c).ravel(), minlength=c)
-    h2 = np.bincount(((sq[2][:, None] + sq[3][None, :]) % c).ravel(), minlength=c)
-    idx = (b - np.arange(c)) % c
-    return int((h1 * h2[idx]).sum())
+    # two pair tables of (M+1)^2 entries: one sort, one binary search per entry
+    size = (M + 1) ** 2
+    charge(2 * size * size.bit_length(), resolve_budget(budget), "quadruple count")
+    ls = np.arange(M + 1, dtype=residue_dtype(c))
+    sq = [(a % c) * (ls * ls) % c for a in alphas]  # l^2 < c by the hypothesis
+    mult = np.where(ls == 0, 1, 2)
+    pair_mult = np.outer(mult, mult).ravel()
+    keys, counts = _distinct_keys((sq[2][:, None] + sq[3]).ravel() % c, pair_mult)
+    want = (b % c - sq[0][:, None] - sq[1]).ravel() % c
+    # exact integer counts; the total is at most (2M+1)^4, inside int64 for
+    # every M < 27,000 (larger pair tables would not fit in memory)
+    return int(_sorted_join(want, pair_mult, keys, counts.astype(np.int64)))

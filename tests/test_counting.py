@@ -262,6 +262,25 @@ def test_spectral_matches_literal_frequency_sum():
     assert rd.T == pytest.approx(literal.real, rel=1e-9)
 
 
+@pytest.mark.parametrize("lams, lnext, p, m", [
+    ((1,), 2, 3, 3),
+    ((1, 1, 1), 2, 3, 4),
+    ((1, 1), 1, 5, 3),
+])
+@pytest.mark.parametrize("w", [gaussian_weight(), bump_pair_weight(0.5)])
+def test_spectral_is_exactly_zero_without_unit_solutions_mod_p(lams, lnext, p, m, w):
+    """No unit-coordinate solution mod p leaves none mod p^m: both routes
+    return an exact 0.0, the spectral one without rounding noise."""
+    form = DiagonalForm(lams, lnext)
+    mod = PrimePowerModulus(p, m)
+    N = float(math.ceil(mod.q**0.6))
+    rs = count_weighted_spectral(form, mod, N, w)
+    rd = count_weighted_direct(form, mod, N, w, UNIT_COORDS)
+    assert rs.T0 == 0.0
+    assert rs.T == 0.0 and rd.T == 0.0
+    assert rs.cost["imag_residual"] == 0.0
+
+
 def test_spectral_requires_unit_inhomogeneous_term():
     g = gaussian_weight()
     with pytest.raises(Exception):

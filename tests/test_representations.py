@@ -1,10 +1,18 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from congruence_lab.counting import bump_pair_weight, gaussian_weight, weight_fourier
+from congruence_lab.counting import (
+    bump_pair_weight,
+    gaussian_weight,
+    weight_fourier,
+    weight_fourier_array,
+)
 from congruence_lab.densities import DiagonalForm
 from congruence_lab.errors import (
     CoprimalityViolated,
@@ -247,3 +255,159 @@ def test_representation_ratio_against_local_global_prediction():
             sig = singular_series(k, dual, p, q_max=40)
             den += singular_integral(k, P, dual, G) * sig.partial_sum * P * P
         assert 0.5 <= num / den <= 1.5, (P, num, den)
+
+
+# ---------------------------------------------------------------------------
+# The scalar kernels the array code replaced, kept as oracles.
+
+
+def tau_cone_descent_oracle(k, deltas, r, w, modulus, N):
+    """Cone descent over coordinates sorted by decreasing coefficient, signs
+    folded in as a factor 2 per coordinate."""
+    p, q = modulus.p, modulus.q
+    deltas = sorted(deltas, reverse=True)
+    n = len(deltas)
+    min_tail = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        min_tail[j] = min_tail[j + 1] + deltas[j]
+    if k < min_tail[0]:
+        return 0.0
+    v_max = math.isqrt(k // deltas[-1])
+    axis_weight = weight_fourier_array(w, (p**r) * N / q * np.arange(v_max + 1)).tolist()
+
+    def descend(j, remaining, weight_acc):
+        d = deltas[j]
+        if j == n - 1:
+            if remaining % d != 0:
+                return 0.0
+            quot = remaining // d
+            v = math.isqrt(quot)
+            if v * v != quot or v == 0 or v % p == 0:
+                return 0.0
+            return weight_acc * 2.0 * axis_weight[v]
+        total = 0.0
+        v = 1
+        while d * v * v + min_tail[j + 1] <= remaining:
+            if v % p != 0:
+                total += descend(j + 1, remaining - d * v * v, weight_acc * 2.0 * axis_weight[v])
+            v += 1
+        return total
+
+    return descend(0, k, 1.0)
+
+
+def singular_coefficient_loop_oracle(q, k, deltas, p):
+    """Per-unit loop with one phase-array sum per distinct key a * Delta_j mod q."""
+    xs = np.arange(p * q, dtype=np.int64)
+    xs = xs[xs % p != 0]
+    sq = (xs * xs) % q
+    phases = np.exp(2j * np.pi * np.arange(q) / q)
+    per_coeff = {}
+    total = 0.0 + 0.0j
+    for a in range(1, q + 1):
+        if math.gcd(a, q) != 1:
+            continue
+        prod = 1.0 + 0.0j
+        for d in deltas:
+            key = (a * (d % q)) % q
+            if key not in per_coeff:
+                per_coeff[key] = complex(phases[(key * sq) % q].sum())
+            prod *= per_coeff[key]
+        total += prod * np.exp(-2j * np.pi * ((a * k) % q) / q)
+    return float(total.real / (p * q) ** len(deltas))
+
+
+def quadruple_histogram_oracle(alphas, b, c, M):
+    """Two length-c pair-sum histograms over -M..M, correlated over every residue."""
+    ls = np.arange(-M, M + 1, dtype=np.int64)
+    sq = [(a % c) * ((ls * ls) % c) % c for a in alphas]
+    h1 = np.bincount(((sq[0][:, None] + sq[1][None, :]) % c).ravel(), minlength=c)
+    h2 = np.bincount(((sq[2][:, None] + sq[3][None, :]) % c).ravel(), minlength=c)
+    return int((h1 * h2[(b - np.arange(c)) % c]).sum())
+
+
+def quadruple_counter_oracle(alphas, b, c, M):
+    """Pair sums over -M..M in Python ints, matched through two Counters."""
+    ls = range(-M, M + 1)
+    left = Counter((alphas[0] * x * x + alphas[1] * y * y) % c for x in ls for y in ls)
+    right = Counter((alphas[2] * x * x + alphas[3] * y * y) % c for x in ls for y in ls)
+    return sum(count * right[(b - key) % c] for key, count in left.items())
+
+
+@st.composite
+def _quadruple_cases(draw):
+    M = draw(st.integers(1, 15))
+    c = 3 ** draw(st.integers(math.ceil(math.log(8 * M * M + 1, 3)), 9))
+    alphas = tuple(draw(st.integers(1, 3 * c).filter(lambda a: a % 3)) for _ in range(4))
+    return alphas, draw(st.integers(-c, 2 * c)), c, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadruple_cases())
+def test_quadruple_count_matches_histogram_oracle(case):
+    alphas, b, c, M = case
+    assert quadruple_count(alphas, b, c, M, p=3) == quadruple_histogram_oracle(alphas, b, c, M)
+
+
+@pytest.mark.parametrize("e", [39, 41])
+def test_quadruple_count_exact_beyond_int64(e):
+    """At c = 3^39 products of residues leave int64, at 3^41 c itself does;
+    coefficients near c make every alpha l^2 wrap."""
+    c = 3**e
+    for alphas in [(c - 1, c - 2, 1, 2), (c - 1, c - 5, c - 7, 4), (c - 2, 1, c - 4, 7)]:
+        for b in (0, 4, c - 3, 3 * c + 12):
+            want = quadruple_counter_oracle(alphas, b, c, 25)
+            assert quadruple_count(alphas, b, c, 25, p=3) == want, (alphas, b, e)
+    assert quadruple_count((c - 1, c - 2, 1, 2), 0, c, 25) > 0
+
+
+def test_quadruple_count_large_box_runs_at_default_budget():
+    """The old length-c correlation charged 2c and refused this box; the pair
+    tables cost O(M^2 log M) whatever c is."""
+    alphas, b, c = (52, 61, 77, 95), 1234567, 3**17
+    assert quadruple_count(alphas, b, c, 1000, p=3) == quadruple_counter_oracle(alphas, b, c, 1000)
+
+
+@st.composite
+def _tau_cases(draw):
+    n = draw(st.integers(1, 6))
+    p = draw(st.sampled_from([3, 5, 7]))
+    deltas = tuple(draw(st.integers(1, 9).filter(lambda d: d % p)) for _ in range(n))
+    k = draw(st.integers(0, 120 if n >= 5 else 600))
+    w = draw(st.sampled_from([gaussian_weight(), gaussian_weight(0.7), bump_pair_weight(), bump_pair_weight(0.5)]))
+    return k, deltas, draw(st.integers(0, 3)), w, PrimePowerModulus(p, 4), draw(st.floats(1.0, 40.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tau_cases())
+def test_tau_matches_cone_descent_oracle(case):
+    k, deltas, r, w, mod, N = case
+    got = tau_n(k, DualForm(deltas), r, w, mod, N)
+    want = tau_cone_descent_oracle(k, deltas, r, w, mod, N)
+    assert abs(got - want) <= 1e-12 * abs(want), (k, deltas, r, w, N)
+
+
+def test_tau_exact_beyond_int64():
+    """Coefficients and k beyond int64: the partial sums are Python ints."""
+    mod = PrimePowerModulus(3, 5)
+    big = 10**19 + 1  # not divisible by 3
+    for deltas, k in [((big, big), 5 * big), ((big, 2 * big, big), 10 * big), ((big, big + 3), 5 * big + 12)]:
+        got = tau_n(k, DualForm(deltas), 0, G, mod, 10.0)
+        want = tau_cone_descent_oracle(k, deltas, 0, G, mod, 10.0)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-12), (deltas, k)
+    assert tau_n(5 * big + 1, DualForm((big, big)), 0, G, mod, 10.0) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 200),
+    st.integers(0, 10**6),
+    st.sampled_from([3, 5, 7]),
+    st.integers(4, 6),
+    st.randoms(use_true_random=False),
+)
+def test_singular_coefficient_matches_loop_oracle(q, k, p, n, rnd):
+    deltas = tuple(rnd.choice([d for d in range(1, 3 * p) if d % p]) for _ in range(n))
+    got = singular_coefficient(q, k, DualForm(deltas), p)
+    assert abs(got - singular_coefficient_loop_oracle(q, k, deltas, p)) <= 1e-12, (q, k, deltas, p)

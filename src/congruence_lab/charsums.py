@@ -21,12 +21,12 @@ from .modmath import (
     PrimePowerModulus,
     Residue,
     TWO_PI,
-    additive_character,
     epsilon_c,
     invmod,
     jacobi_symbol,
     prime_tables,
     sqrt_classes_mod_prime_power,
+    unit_root,
     valuation,
 )
 
@@ -51,7 +51,9 @@ class ExactCharSum(NamedTuple):
         is_zero, factor, sign, eps, sqrt_arg, phase_num, phase_den = self
         if is_zero:
             return 0.0 + 0.0j
-        return factor * sign * eps * math.sqrt(sqrt_arg) * additive_character(phase_num, phase_den)
+        if phase_den < 1:
+            raise ValidationError("q must be positive")
+        return factor * sign * eps * math.sqrt(sqrt_arg) * unit_root(phase_num % phase_den, phase_den)
 
 
 ZERO_CHAR_SUM = ExactCharSum(is_zero=True)
@@ -71,13 +73,18 @@ class KloostermanClosedForm(NamedTuple):
     terms: tuple[tuple[complex, int], ...] = ()
 
     def to_complex(self) -> complex:
-        if self.is_zero:
+        is_zero, p, s, terms = self
+        if is_zero:
             return 0.0 + 0.0j
-        c = self.p**self.s
+        c = p**s
         scale = math.sqrt(c)
-        return scale * sum(
-            coeff * additive_character(phase, c) for coeff, phase in self.terms
-        )
+        if terms and c < 1:
+            raise ValidationError("q must be positive")
+        # the left-to-right sum from int 0 that sum() does, without a generator frame
+        total = 0
+        for coeff, phase in terms:
+            total = total + coeff * unit_root(phase % c, c)
+        return scale * total
 
 
 ZERO_KLOOSTERMAN = KloostermanClosedForm(is_zero=True)
@@ -105,8 +112,9 @@ _CACHE_SIZE = 4096
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int]:
-    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c') for 0 < a < c, where
-    d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b."""
+    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c') for 0 <= a < c, where
+    d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b.
+    At a = 0 this is (c, 1, 1, 1, 0), the linear sum's c * e(0)."""
     d = math.gcd(a, c)
     a1, c1 = a // d, c // d
     return d, c1, jacobi_symbol(a1, c1), epsilon_c(c1), invmod(4 * a1, c1)
@@ -116,25 +124,20 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     """Closed form of G(a, b, p^m) for odd prime powers.
 
     The gcd d = (a, c) is factored out first; the sum vanishes unless d | b,
-    degenerates to a linear sum when c | a, and otherwise equals
-    d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').  The part
-    that does not depend on b is cached per (a mod c, c).
+    and otherwise equals d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').
+    At c | a that is the linear sum, c when c | b.  The part that does not
+    depend on b is cached per (a mod c, c).
     """
     if type(a) is not int or type(b) is not int:
         a, b = operator.index(a), operator.index(b)
     c = modulus.q
-    a %= c
+    d, c1, sign, eps, inv_4a1 = _gauss_unit_part(a % c, c)
     b %= c
-    if a == 0:
-        # pure linear sum: c if c | b else 0
-        if b == 0:
-            return ExactCharSum(False, c)
-        return ZERO_CHAR_SUM
-    d, c1, sign, eps, inv_4a1 = _gauss_unit_part(a, c)
-    if b % d != 0:
+    if b % d:
         return ZERO_CHAR_SUM
     b1 = b // d
-    return ExactCharSum(False, d, sign, eps, c1, (-inv_4a1 * b1 * b1) % c1, c1)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, (-inv_4a1 * b1 * b1) % c1, c1))
 
 
 def kloosterman_bruteforce(a: int, b: int, c: int) -> complex:
@@ -168,17 +171,25 @@ def salie_bruteforce(a: int, b: int, c: int) -> complex:
     return total
 
 
+# Both caches take plain ints: a PrimePowerModulus key would run the
+# dataclass's Python __hash__ on every lookup.  A miss rebuilds the modulus
+# from one more cache, so it is validated once per (p, m), not per miss.
+_prime_power = lru_cache(maxsize=64)(PrimePowerModulus)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sqrt_roots(r: int, modulus: PrimePowerModulus) -> tuple[int, ...]:
+def _sqrt_roots(r: int, p: int, m: int) -> tuple[int, ...]:
     """Every u mod p^m with u^2 = r, ascending, for r reduced mod p^m."""
-    return tuple(sqrt_classes_mod_prime_power(r, modulus).members())
+    return tuple(sqrt_classes_mod_prime_power(r, _prime_power(p, m)).members())
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kloosterman_modulus_part(modulus: PrimePowerModulus) -> tuple[complex, int]:
-    """(eps_c, (-1/c)): the part of the closed K0/K1 body fixed by c alone."""
-    c = modulus.q
-    return epsilon_c(c), jacobi_symbol(-1, c)
+def _kloosterman_modulus_part(p: int, m: int) -> tuple[complex, int, tuple[int, ...]]:
+    """(eps_c, (-1/c), ((x/c) for x mod p)) at c = p^m: the part of the closed
+    K0/K1 body fixed by c alone, with (x/c) = (x/p)^m as plain ints."""
+    c = p**m
+    twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
+    return epsilon_c(c), jacobi_symbol(-1, c), twist
 
 
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
@@ -191,8 +202,8 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     """
     if type(a) is not int or type(b) is not int:
         a, b = operator.index(a), operator.index(b)
-    p, c = modulus.p, modulus.q
-    if modulus.m < 2:
+    p, m, c = modulus.p, modulus.m, modulus.q
+    if m < 2:
         raise UnsupportedCase(f"closed {'Salie' if twisted else 'Kloosterman'} form needs exponent m >= 2")
     a %= c
     b %= c
@@ -201,18 +212,18 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
         raise UnsupportedCase("p divides both arguments; use the brute-force sum")
     if pa or pb:
         return ZERO_KLOOSTERMAN
-    roots = _sqrt_roots(a * b % c, modulus)
+    roots = _sqrt_roots(a * b % c, p, m)
     if not roots:
         return ZERO_KLOOSTERMAN
     v = roots[0]  # the roots are v and c - v
-    eps, minus_one = _kloosterman_modulus_part(modulus)
+    eps, minus_one, twist = _kloosterman_modulus_part(p, m)
     # the twist at the roots v, c - v is sign * (1, flip): (b/c) for K1, and for
     # K0 (v/c) times (1, (-1/c)); grouping sign * (eps * flip) keeps the signed
-    # zeros of the reported coefficients.  (x/c) = (x/p)^m for c = p^m.
-    sign = int(prime_tables(p).legendre[(b if twisted else v) % p]) ** modulus.m
+    # zeros of the reported coefficients.
+    sign = twist[(b if twisted else v) % p]
     flip = 1 if twisted else minus_one
     terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
-    return KloostermanClosedForm(False, p, modulus.m, terms)
+    return tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
 
 
 def kloosterman_closed(a: int, b: int, modulus: PrimePowerModulus) -> KloostermanClosedForm:

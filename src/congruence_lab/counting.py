@@ -326,6 +326,12 @@ def _fft_cost(n: int, q: int) -> int:
     return n * q * (q - 1).bit_length()
 
 
+def _convolution_transforms(coeffs, q: int) -> int:
+    """Transforms _cyclic_convolution runs on the histograms of coeffs mod q:
+    one rfft per distinct coefficient mod q and one irfft."""
+    return len({c % q for c in coeffs}) + 1
+
+
 def _axis_data(
     form: DiagonalForm, q: int, p: int, N: float, w: WeightSpec, X: int, restrict: str
 ):
@@ -347,8 +353,10 @@ def _count_histogram(form, q, p, N, w, X, restrict, target):
     xs, wts, squares, _ = _axis_data(form, q, p, N, w, X, restrict)
     if len(xs) == 0:
         return 0.0, {"axis_points": 0, "convolutions": 0}
-    acc = _cyclic_convolution(_residue_histograms(form.lambdas, squares, wts, q), q)
-    cost = {"axis_points": int(len(xs) * form.n), "convolutions": form.n - 1}
+    factors = _residue_histograms(form.lambdas, squares, wts, q)
+    acc = _cyclic_convolution(factors, q)
+    # the transforms that ran: one rfft per factor and the irfft
+    cost = {"axis_points": int(len(xs) * form.n), "convolutions": len(factors) + 1}
     return float(acc[target % q]), cost
 
 
@@ -437,7 +445,8 @@ def count_weighted_direct(
     parts = [("units", 1)] if mode == UNIT_COORDS else [("none", 1), ("pdiv", -1)]
     target = form.inhomogeneous_term % q
     if strategy == "histogram":
-        charge(len(parts) * (n * (2 * X + 1) + _fft_cost(n, q)), budget_val, "histogram count")
+        transforms = _convolution_transforms(form.lambdas, q)
+        charge(len(parts) * (n * (2 * X + 1) + _fft_cost(transforms, q)), budget_val, "histogram count")
         counts = [_count_histogram(form, q, p, N, w, X, r, target) for r, _ in parts]
     else:
         counts = [_count_enumerate(form, modulus, q, p, N, w, X, r, budget_val) for r, _ in parts]
@@ -522,7 +531,8 @@ def count_weighted_spectral(
     # frequencies k = p^(m-1) * t: significant whenever the Fourier weight at N/p is
     t_max = k_cutoff // p ** (m - 1)
     if solvable and t_max > 0:
-        charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * (n * (p - 1) + _fft_cost(n, p)),
+        transforms = _convolution_transforms(form.lambdas, p)
+        charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * (n * (p - 1) + _fft_cost(transforms, p)),
                budget_val, "spectral low-frequency block")
         total += _top_frequency_block(form, p, m, N, w, t_max)
         axis_points += n * (2 * t_max + 1)
@@ -532,10 +542,13 @@ def count_weighted_spectral(
         vs = np.array([v for v in range(1, L + 1) if v % p != 0], dtype=np.int64)
         if len(vs) == 0:
             continue
-        charge(n * len(vs) + _fft_cost(n, c), budget_val, "spectral frequency sum")
+        inverses = [invmod(lam % c, c) for lam in form.lambdas]
+        charge(n * len(vs) + _fft_cost(_convolution_transforms(inverses, c), c), budget_val,
+               "spectral frequency sum")
+        # the kernel table mod c and its dot with wdist: ~20 array passes over the residues
+        charge(20 * c, budget_val, "dual kernel level")
         axis_points += n * len(vs)
         fw = 2.0 * weight_fourier_array(w, (p**r) * vs * N / q)  # +-v folded
-        inverses = [invmod(lam % c, c) for lam in form.lambdas]
         wdist = _cyclic_convolution(_residue_histograms(inverses, (vs * vs) % c, fw, c), c)
         front, table = dual_kernel_level(form, modulus, r)
         kernel_evals += c

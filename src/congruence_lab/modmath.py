@@ -146,7 +146,18 @@ def additive_character(a: int, q: int) -> complex:
     """exp(2*pi*i*a/q), with a reduced mod q exactly before evaluation."""
     if q < 1:
         raise ValidationError("q must be positive")
-    t = a % q
+    return unit_root(a % q, q)
+
+
+# Same bound as the closed-form caches in charsums: every t mod q for
+# q <= 4096 stays cached, and wider sweeps keep memory fixed.
+@lru_cache(maxsize=4096)
+def unit_root(t: int, q: int) -> complex:
+    """exp(2*pi*i*t/q) for 0 <= t < q and q >= 1, cached per (t, q).
+
+    The one evaluation of e(t/q): ``additive_character`` and the closed
+    character sums check q and reduce t, then read the value from here.
+    """
     return cmath.exp(complex(0.0, TWO_PI * t / q))
 
 

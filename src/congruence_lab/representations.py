@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -152,11 +152,45 @@ def _sorted_join(want: np.ndarray, wts: np.ndarray, keys: np.ndarray, key_wts: n
     return np.dot(wts[hit], key_wts[idx[hit]])
 
 
-@lru_cache(maxsize=512)
+class _TableCache:
+    """Read-only arrays by key, least recently used first out once the arrays
+    held pass ``max_bytes`` (a table larger than that is built but not kept)."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.tables: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+    def get(self, key: tuple, build) -> np.ndarray:
+        table = self.tables.get(key)
+        if table is not None:
+            self.tables.move_to_end(key)
+            return table
+        table = build(*key)
+        table.flags.writeable = False
+        if table.nbytes <= self.max_bytes:
+            self.tables[key] = table
+            self.nbytes += table.nbytes
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self.tables.popitem(last=False)[1].nbytes
+        return table
+
+
+# A table mod q takes 16 q bytes: every table for q <= 100 (~80 KB per form
+# and prime) stays cached, and a singular_series scan to any q_max leaves at
+# most this many bytes of its last tables behind.
+_PHASE_TABLE_BYTES = 8 << 20
+_PHASE_TABLES = _TableCache(_PHASE_TABLE_BYTES)
+
+
 def _coefficient_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
     """Products over coordinates of the unit-restricted quadratic sums
     S(b) = sum_{x mod pq, (x,p)=1} e_q(b x^2) at b = a Delta_j, for every a
-    mod q; zero at the non-units a."""
+    mod q; zero at the non-units a.  Cached per (q, p, deltas)."""
+    return _PHASE_TABLES.get((q, p, deltas), _build_phase_table)
+
+
+def _build_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
     xs = np.arange(p * q, dtype=np.int64)
     xs = xs[xs % p != 0] % q
     # S(b) = sum_r #{x : x^2 = r mod q} e_q(b r): one inverse DFT for every b

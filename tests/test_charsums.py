@@ -1,12 +1,13 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import charsums
+from congruence_lab import charsums, modmath
 from congruence_lab.charsums import (
     ExactCharSum,
     F_bruteforce,
@@ -24,8 +25,9 @@ from congruence_lab.charsums import (
     salie_closed,
 )
 from congruence_lab.densities import DiagonalForm, count_B_m
-from congruence_lab.errors import BudgetExceeded, UnsupportedCase
+from congruence_lab.errors import BudgetExceeded, UnsupportedCase, ValidationError
 from congruence_lab.modmath import (
+    TWO_PI,
     PrimePowerModulus,
     Residue,
     additive_character,
@@ -360,13 +362,6 @@ def _gauss_closed_reference(a, b, modulus):
     )
 
 
-def _to_complex_reference(cs):
-    if cs.is_zero:
-        return 0.0 + 0.0j
-    value = cs.rational_factor * cs.sign * cs.eps * math.sqrt(cs.sqrt_arg)
-    return value * additive_character(cs.phase_num, cs.phase_den)
-
-
 def _kloosterman_salie_reference(a, b, modulus, twisted):
     p, c = modulus.p, modulus.q
     if modulus.m < 2:
@@ -417,7 +412,7 @@ def test_cached_gauss_closed_matches_uncached_oracle(args):
             got = gauss_sum_closed(a_arg, b, mod)
             want = _gauss_closed_reference(a_arg, b, mod)
             assert got == want and repr(got) == repr(want), (a_arg, b, mod)
-            assert repr(got.to_complex()) == repr(_to_complex_reference(want))
+            assert repr(got.to_complex()) == repr(_exact_to_complex_reference(want))
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (5, 3), (7, 3)])
@@ -430,7 +425,7 @@ def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
                 continue
             if a % p and b % p:
                 want_roots = tuple(sqrt_classes_mod_prime_power(a * b, mod).members())
-                assert charsums._sqrt_roots(a * b % c, mod) == want_roots
+                assert charsums._sqrt_roots(a * b % c, p, m) == want_roots
             for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
                 got = closed_fn(a, b, mod)
                 want = _kloosterman_salie_reference(a, b, mod, twisted)
@@ -450,7 +445,7 @@ def test_closed_form_caches_stay_bounded():
     for a in units:
         gauss_sum_closed(a, 1, big)
         kloosterman_closed(a, 1, big)
-    for cache, key in ((charsums._gauss_unit_part, (units[-1], big.q)), (charsums._sqrt_roots, (units[-1], big))):
+    for cache, key in ((charsums._gauss_unit_part, (units[-1], big.q)), (charsums._sqrt_roots, (units[-1], big.p, big.m))):
         info = cache.cache_info()
         assert 0 < info.currsize <= info.maxsize
         value = cache(*key)
@@ -485,3 +480,170 @@ def test_numpy_integer_arguments_match_python_ints(np_int):
                 assert got == want and repr(got) == repr(want), (fn.__name__, a, b, c)
                 assert _field_types(got) == _field_types(want)
                 assert fn(a, np_int(b), mod) == fn(np_int(a), b, mod) == want
+
+
+# The evaluators as they stood before the cached unit root: additive_character
+# and the two to_complex bodies, copied verbatim.  The fast path must
+# reproduce them bit for bit (compared by repr, which tells signed zeros apart).
+
+
+def _additive_character_reference(a, q):
+    if q < 1:
+        raise ValidationError("q must be positive")
+    t = a % q
+    return cmath.exp(complex(0.0, TWO_PI * t / q))
+
+
+def _exact_to_complex_reference(cs):
+    is_zero, factor, sign, eps, sqrt_arg, phase_num, phase_den = cs
+    if is_zero:
+        return 0.0 + 0.0j
+    return factor * sign * eps * math.sqrt(sqrt_arg) * _additive_character_reference(phase_num, phase_den)
+
+
+def _kloosterman_to_complex_reference(kc):
+    if kc.is_zero:
+        return 0.0 + 0.0j
+    c = kc.p**kc.s
+    scale = math.sqrt(c)
+    return scale * sum(coeff * _additive_character_reference(phase, c) for coeff, phase in kc.terms)
+
+
+def _outcome(fn, *args):
+    """repr of the value, or the type and message of the error raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return (type(exc), str(exc))
+
+
+_SIGNED_UNITS = [complex(x, y) for x, y in ((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+                                            (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0))]
+_DENOMINATORS = st.one_of(st.integers(1, 60), st.integers(4000, 70_000), st.sampled_from([3**9, 5**7, 7**5]))
+
+
+@st.composite
+def _exact_char_sums(draw):
+    """ExactCharSum with any field values: phases negative or >= den, signed-zero eps."""
+    den = draw(_DENOMINATORS)
+    return ExactCharSum(
+        draw(st.booleans()),
+        draw(st.integers(-50, 50)),
+        draw(st.sampled_from([-1, 0, 1])),
+        draw(st.sampled_from(_SIGNED_UNITS)),
+        draw(st.integers(0, 10**6)),
+        draw(st.integers(-3 * den, 3 * den)),
+        den,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exact_char_sums())
+def test_gauss_to_complex_matches_reference_bit_for_bit(cs):
+    assert repr(cs.to_complex()) == repr(_exact_to_complex_reference(cs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10**9, 10**9), _DENOMINATORS)
+def test_additive_character_matches_reference_bit_for_bit(a, q):
+    assert repr(additive_character(a, q)) == repr(_additive_character_reference(a, q))
+
+
+@st.composite
+def _kloosterman_forms(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    s = draw(st.integers(1, 6))
+    c = p**s
+    term = st.tuples(
+        st.builds(lambda u, sign: sign * u, st.sampled_from(_SIGNED_UNITS), st.sampled_from([-1, 0, 1])),
+        st.integers(-3 * c, 3 * c),
+    )
+    return KloostermanClosedForm(draw(st.booleans()), p, s, tuple(draw(st.lists(term, max_size=3))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kloosterman_forms())
+def test_kloosterman_to_complex_matches_reference_bit_for_bit(kc):
+    assert repr(kc.to_complex()) == repr(_kloosterman_to_complex_reference(kc))
+
+
+@pytest.mark.parametrize("den", [0, -1, -7])
+def test_nonpositive_phase_denominator_raises_the_reference_error(den):
+    got = _outcome(ExactCharSum(False, 1, 1, 1j, 5, 3, den).to_complex)
+    assert got == _outcome(_exact_to_complex_reference, ExactCharSum(False, 1, 1, 1j, 5, 3, den))
+    assert got[0] is ValidationError
+    assert _outcome(additive_character, 3, den) == _outcome(_additive_character_reference, 3, den)
+    for terms in ((), ((1j, 2),)):
+        kc = KloostermanClosedForm(False, 0, 1, terms)  # c = 0
+        assert _outcome(kc.to_complex) == _outcome(_kloosterman_to_complex_reference, kc)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 4), (5, 3), (7, 2)])
+def test_gauss_at_a_divisible_by_q_equals_the_linear_sum_case(p, m):
+    mod = PrimePowerModulus(p, m)
+    c = mod.q
+    for a in (0, c, -2 * c):
+        for b in (0, c, 3 * c, 1, p, -1, c - 1):
+            got = gauss_sum_closed(a, b, mod)
+            # the special case the general path replaced
+            want = ExactCharSum(False, c) if b % c == 0 else charsums.ZERO_CHAR_SUM
+            assert got == want and repr(got) == repr(want), (a, b, c)
+            assert _field_types(got) == _field_types(want)
+            assert repr(got.to_complex()) == repr(_exact_to_complex_reference(want))
+
+
+def test_unit_root_cache_is_bounded_and_sweeps_past_it_match():
+    assert modmath.unit_root.cache_info().maxsize == 4096
+    for p, m in ((5, 6), (3, 8)):  # q > 4096: every sweep over b evicts entries
+        mod = PrimePowerModulus(p, m)
+        c = mod.q
+        assert c > modmath.unit_root.cache_info().maxsize
+        for a in (1, 2 * p + 1, p):
+            for b in range(c):
+                got = gauss_sum_closed(a, b, mod)
+                assert repr(got.to_complex()) == repr(_exact_to_complex_reference(got)), (a, b, c)
+            for b in range(1, c, p - 1):
+                for closed_fn in (kloosterman_closed, salie_closed):
+                    if a % p == 0 and b % p == 0:
+                        continue
+                    kc = closed_fn(a, b, mod)
+                    assert repr(kc.to_complex()) == repr(_kloosterman_to_complex_reference(kc)), (a, b, c)
+        info = modmath.unit_root.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+def _python_calls(thunk):
+    """Names of the Python frames entered while thunk runs (C calls, such as a
+    lru_cache hit or tuple.__new__, raise no call event)."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    assert names[0] == "<lambda>"
+    return names[1:]
+
+
+@pytest.mark.parametrize("a,b", [(12, 345), (0, 0), (7, 14)])
+def test_warm_gauss_call_enters_two_python_frames(a, b):
+    mod = PrimePowerModulus(7, 4)
+    thunk = lambda: gauss_sum_closed(a, b, mod).to_complex()  # noqa: E731
+    thunk()
+    assert _python_calls(thunk) == ["gauss_sum_closed", "to_complex"]
+
+
+@pytest.mark.parametrize("closed_fn", [kloosterman_closed, salie_closed])
+def test_warm_kloosterman_salie_call_enters_three_python_frames(closed_fn):
+    mod = PrimePowerModulus(5, 3)
+    thunk = lambda: closed_fn(2, 3, mod).to_complex()  # noqa: E731
+    assert thunk() != 0
+    calls = _python_calls(thunk)
+    assert calls == [closed_fn.__name__, "_closed_kloosterman_salie", "to_complex"]
+    # a NamedTuple's generated __new__ is a code object named "<lambda>"
+    assert not {"__new__", "<lambda>", "__hash__", "additive_character"} & set(calls)

@@ -214,6 +214,27 @@ def test_six_square_asymptotic_at_5_7_default_budget(monkeypatch):
         assert abs(T["spectral"] - T["direct"]) <= 1e-9 * T["direct"], weight
 
 
+def test_six_square_asymptotic_at_5_9_default_budget_and_5_11_refused(monkeypatch):
+    """Six squares mod 5^9 fit the default budget once it charges the transforms
+    that run (two, for one distinct coefficient) and the dual kernel per level:
+    both methods and weights, T/T0 within 0.25, direct and spectral T within
+    1e-9.  Mod 5^11 the estimate stays far over the budget (exit 3)."""
+    monkeypatch.delenv("CONGRUENCE_LAB_BUDGET", raising=False)
+    base = ["count", "--mode", "inhom", "--lambda", "1", "1", "1", "1", "1", "1", "2",
+            "--p", "5", "--theta", "0.55"]
+    for weight in ([], ["--weight", "bump", "--radius", "0.5"]):
+        T = {}
+        for method in ("direct", "spectral"):
+            code, out, err = run_main(base + ["--m", "9", "--method", method] + weight)
+            assert code == 0, err
+            report = json.loads(out)
+            assert abs(report["T"] / report["T0"] - 1.0) <= 0.25
+            T[method] = report["T"]
+            code, _, err = run_main(base + ["--m", "11", "--method", method] + weight)
+            assert code == 3 and "budget" in err, (method, weight)
+        assert abs(T["spectral"] - T["direct"]) <= 1e-9 * T["direct"], weight
+
+
 def test_budget_env_var():
     import os
 

@@ -298,10 +298,33 @@ def test_budget_exceeded():
 def test_histogram_count_charges_its_transforms():
     form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
     mod = PrimePowerModulus(5, 6)
-    transforms = 6 * mod.q * 14  # n * q * ceil(log2 q)
+    # one rfft for the one distinct coefficient, one irfft: 2 * q * ceil(log2 q)
+    transforms = 2 * mod.q * 14
     with pytest.raises(BudgetExceeded, match="histogram count"):
         count_weighted_direct(form, mod, 203.0, gaussian_weight(), UNIT_COORDS,
                               strategy="histogram", budget=transforms)
+
+
+@pytest.mark.parametrize("lambdas,mode,transforms", [
+    ((1, 1, 2), UNIT_COORDS, 3),
+    ((1, 6, 2), UNIT_COORDS, 4),  # 1, 6 and 2 are distinct mod 25
+    ((1, 1, 2), NOT_ALL_ZERO, 6),  # two signed parts, three transforms each
+    ((1, 1, 1, 1, 1, 1), UNIT_COORDS, 2),
+])
+def test_histogram_count_reports_the_transforms_that_run(lambdas, mode, transforms):
+    rep = count_weighted_direct(DiagonalForm(lambdas, 1), PrimePowerModulus(5, 2), 25.0,
+                                gaussian_weight(), mode, strategy="histogram")
+    assert rep.cost["convolutions"] == transforms
+
+
+def test_spectral_count_charges_the_dual_kernel_per_level():
+    form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
+    mod = PrimePowerModulus(5, 3)
+    kernel = 20 * mod.q  # the level r = 0 table mod 5^3, above its two transforms
+    with pytest.raises(BudgetExceeded, match="dual kernel level"):
+        count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=kernel - 1)
+    rep = count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=kernel)
+    assert rep.T == count_weighted_spectral(form, mod, 10.0, gaussian_weight()).T
 
 
 def test_report_fields():

@@ -20,6 +20,7 @@ from congruence_lab.errors import (
     IndefiniteForm,
     ValidationError,
 )
+from congruence_lab import representations
 from congruence_lab.modmath import PrimePowerModulus
 from congruence_lab.representations import (
     DualForm,
@@ -123,6 +124,26 @@ def test_singular_coefficient_matches_naive():
         got = singular_coefficient(q, 2, dual6, 3)
         want = singular_coefficient_naive(q, 2, dual6, 3)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_phase_table_cache_stays_within_its_byte_bound():
+    cache = representations._PHASE_TABLES
+    dual = DualForm((1, 1, 1, 1))
+    # every table of a q <= 100 scan survives a second scan (the same objects come back)
+    singular_series(1, dual, 3, 100)
+    tables = {q: representations._coefficient_phase_table(q, 3, dual.deltas) for q in range(1, 101)}
+    singular_series(2, dual, 3, 100)
+    assert all(representations._coefficient_phase_table(q, 3, dual.deltas) is t for q, t in tables.items())
+    # a long scan leaves at most the bound behind (all its tables take ~32 MB)
+    singular_series(1, dual, 3, 2000)
+    assert 0 < cache.nbytes <= representations._PHASE_TABLE_BYTES
+    assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+    assert (2000, 3, dual.deltas) in cache.tables
+    # a table above the bound is returned but not kept
+    held = dict(cache.tables)
+    big = cache.max_bytes // 16 + 1
+    table = cache.get((big, 3, dual.deltas), lambda q, p, deltas: np.zeros(q, dtype=complex))
+    assert len(table) == big and list(cache.tables) == list(held)
 
 
 def test_singular_series_consistency_n6():

@@ -135,32 +135,49 @@ def _seed_bump(u):
 # SIAM Rev. 56, 2014).  384 panels match adaptive quadrature to ~1e-15 of
 # fhat(0) for |t| <= 30, where the rule's aliasing error is fhat at |t| >= 162.
 _BUMP_PANELS = 384
-_BUMP_NODES = np.arange(1 - _BUMP_PANELS // 2, _BUMP_PANELS // 2) * (2.0 / _BUMP_PANELS)
-_BUMP_NODE_WEIGHTS = (2.0 / _BUMP_PANELS) * _seed_bump(_BUMP_NODES)
-# the seed is even, so its cosine sum folds onto the nodes u >= 0
+_NODE_STEP = 2.0 / _BUMP_PANELS
+_BUMP_NODES = np.arange(1 - _BUMP_PANELS // 2, _BUMP_PANELS // 2) * _NODE_STEP
+_BUMP_NODE_WEIGHTS = _NODE_STEP * _seed_bump(_BUMP_NODES)
+# the seed is even, so its cosine sum folds onto the nodes u_j = j * _NODE_STEP, 0 <= j < 192
 _FOLDED_NODES = _BUMP_NODES[_BUMP_PANELS // 2 - 1:]
 _FOLDED_WEIGHTS = np.where(_FOLDED_NODES == 0.0, 1.0, 2.0) * _BUMP_NODE_WEIGHTS[_BUMP_PANELS // 2 - 1:]
+# Angle addition over j = 16a + b: with x = 2 pi _NODE_STEP t,
+#   fhat(t) = sum_a cos(16ax) (C W^T)[a] - sin(16ax) (S W^T)[a],
+# where C, S hold cos(bx), sin(bx) for b < 16 and W[a, b] is the folded weight of node 16a + b.
+_ANGLE_SPLIT = 16
+_FOLDED_WEIGHT_GRID = _FOLDED_WEIGHTS.reshape(-1, _ANGLE_SPLIT)  # W: (12, 16)
+_INNER_STEPS = np.arange(_ANGLE_SPLIT)
+_OUTER_STEPS = np.arange(0, len(_FOLDED_NODES), _ANGLE_SPLIT)
 _BUMP_T_MAX = 30.0  # the bump-pair weight is taken as 0 beyond this transform argument
 _BUMP_SCAN_STEP = 0.02
-_ROW_BLOCK = 2048  # arguments per node-sum block: keeps each block matrix under ~6 MB
+_ROW_BLOCK = 2048  # distinct arguments per block: the largest block matrix, 2048 x 383, is 6.3 MB
 
 
-def _node_sum(args: np.ndarray, limit: float, kernel, node_weights: np.ndarray) -> np.ndarray:
-    """sum_j kernel(a)[j] node_weights[j] for each a < limit (0 elsewhere), once per distinct a."""
+def _node_sum(args: np.ndarray, limit: float, block_sum) -> np.ndarray:
+    """block_sum(rows) for each a < limit (0 elsewhere), once per distinct a, in ascending blocks."""
     out = np.zeros(args.shape)
     inside = args < limit
     distinct, index = np.unique(args[inside], return_inverse=True)
     sums = np.empty(len(distinct))
     for start in range(0, len(distinct), _ROW_BLOCK):
-        rows = distinct[start:start + _ROW_BLOCK, None]
-        sums[start:start + _ROW_BLOCK] = (kernel(rows) * node_weights).sum(axis=1)
+        sums[start:start + _ROW_BLOCK] = block_sum(distinct[start:start + _ROW_BLOCK])
     out[inside] = sums[index]
     return out
 
 
+# Each argument gets the value it gets alone in a block: einsum's loops, unlike
+# BLAS matmul, do not change with the number of rows.
+def _fhat_block(ts: np.ndarray) -> np.ndarray:
+    x = (2.0 * math.pi * _NODE_STEP) * ts[:, None]
+    inner = x * _INNER_STEPS
+    outer = x * _OUTER_STEPS
+    return ((np.cos(outer) * np.einsum("rb,ab->ra", np.cos(inner), _FOLDED_WEIGHT_GRID)).sum(axis=1)
+            - (np.sin(outer) * np.einsum("rb,ab->ra", np.sin(inner), _FOLDED_WEIGHT_GRID)).sum(axis=1))
+
+
 def _bump_fhat(ts: np.ndarray) -> np.ndarray:
     """The seed bump's Fourier transform at each t >= 0 (0 from _BUMP_T_MAX on)."""
-    return _node_sum(ts, _BUMP_T_MAX, lambda t: np.cos(2.0 * math.pi * t * _FOLDED_NODES), _FOLDED_WEIGHTS)
+    return _node_sum(ts, _BUMP_T_MAX, _fhat_block)
 
 
 _BUMP_FHAT0 = float(_bump_fhat(np.zeros(1))[0])
@@ -178,13 +195,17 @@ def _bump_scan() -> tuple[float, np.ndarray]:
 
 
 class _BumpPair:
+    # an argument scaled past the float range is inf, which lies outside both supports
     def values(self, w, xs):
-        return (_bump_fhat(w.radius * np.abs(xs)) / _BUMP_FHAT0) ** 2
+        with np.errstate(over="ignore"):
+            ts = w.radius * np.abs(xs)
+        return (_bump_fhat(ts) / _BUMP_FHAT0) ** 2
 
     def fourier(self, w, ys):
         # the self-convolution (bump * bump)(z), supported on |z| < 2
-        conv = _node_sum(np.abs(ys) / w.radius, 2.0, lambda z: _seed_bump(z - _BUMP_NODES),
-                         _BUMP_NODE_WEIGHTS)
+        with np.errstate(over="ignore"):
+            zs = np.abs(ys) / w.radius
+        conv = _node_sum(zs, 2.0, lambda z: (_seed_bump(z[:, None] - _BUMP_NODES) * _BUMP_NODE_WEIGHTS).sum(axis=1))
         return conv / (w.radius * _BUMP_FHAT0 * _BUMP_FHAT0)
 
     def support_cutoff(self, w):

@@ -83,7 +83,13 @@ def sharp_cutoff_weight(radius: float = 1.0) -> WeightSpec:
 # of the weight and of |transform| beyond each point (the decay envelopes).
 
 
-class _Gaussian:
+class _Sampled:
+    def table(self, w, N, X):
+        """The weight at x / N for every integer x in [-X, X], at table[x + X]."""
+        return self.values(w, np.arange(-X, X + 1) / N)
+
+
+class _Gaussian(_Sampled):
     # at huge |x| the square overflows to inf and exp(-inf) is the exact 0.0
     def values(self, w, xs):
         with np.errstate(over="ignore"):
@@ -104,12 +110,16 @@ class _Gaussian:
     fourier_envelope = fourier
 
 
-class _SharpCutoff:
+class _SharpCutoff(_Sampled):
     def values(self, w, xs):
         return (np.abs(xs) <= w.radius).astype(float)
 
     def fourier(self, w, ys):
-        return 2.0 * w.radius * np.sinc(2.0 * w.radius * ys)
+        # sinc(z) = sin(pi z) / (pi z); where pi z passes the float range, its limit 0
+        with np.errstate(over="ignore"):
+            zs = 2.0 * w.radius * ys
+            beyond = np.isinf(math.pi * zs)
+        return np.where(beyond, 0.0, 2.0 * w.radius * np.sinc(np.where(beyond, 0.0, zs)))
 
     def support_cutoff(self, w):
         return w.radius
@@ -150,6 +160,9 @@ _INNER_STEPS = np.arange(_ANGLE_SPLIT)
 _OUTER_STEPS = np.arange(0, len(_FOLDED_NODES), _ANGLE_SPLIT)
 _BUMP_T_MAX = 30.0  # the bump-pair weight is taken as 0 beyond this transform argument
 _BUMP_SCAN_STEP = 0.02
+# One sequential sum over all 192 nodes drifts to ~1e-15 of fhat(0) near t = 0; four
+# runs of 48 keep the grid within ~4e-16 of the exact trapezoid sum.
+_GRID_RUNS = 4
 _ROW_BLOCK = 2048  # distinct arguments per block: the largest block matrix, 2048 x 383, is 6.3 MB
 
 
@@ -183,6 +196,29 @@ def _bump_fhat(ts: np.ndarray) -> np.ndarray:
 _BUMP_FHAT0 = float(_bump_fhat(np.zeros(1))[0])
 
 
+def _bump_fhat_grid(h: float, count: int) -> np.ndarray:
+    """fhat(x h) for x = 0, ..., count - 1 (0 from _BUMP_T_MAX on), as one grid product.
+
+    With a = 2 pi _NODE_STEP h and x = B x1 + x0 (B = isqrt(count)), each term of the
+    folded sum splits as cos(a j x) = cos(a j B x1) cos(a j x0) - sin(a j B x1) sin(a j x0):
+    two (rows x 192) . (192 x B) contractions and 2 * 192 * (rows + B) cosines and sines
+    for the whole grid, instead of 28 pairs per point.  Each contraction runs over
+    _GRID_RUNS runs of consecutive nodes and adds the runs' sums at the end; it is an
+    einsum, not BLAS matmul, so its values do not depend on the BLAS thread count.
+    """
+    B = math.isqrt(count)
+    a = 2.0 * math.pi * _NODE_STEP * h
+    j = np.arange(len(_FOLDED_NODES)).reshape(_GRID_RUNS, -1)
+    outer = a * (np.arange(0, count, B)[:, None, None] * j)  # exact integer products, one rounding each
+    inner = a * (j[:, :, None] * np.arange(B))
+    weights = _FOLDED_WEIGHTS.reshape(j.shape)
+    runs = np.einsum("xrj,rjb->xrb", np.cos(outer) * weights, np.cos(inner))
+    runs -= np.einsum("xrj,rjb->xrb", np.sin(outer) * weights, np.sin(inner))
+    fhat = runs.sum(axis=1).ravel()[:count]
+    fhat[np.arange(count) * h >= _BUMP_T_MAX] = 0.0
+    return fhat
+
+
 @lru_cache(maxsize=1)
 def _bump_scan() -> tuple[float, np.ndarray]:
     """One scan of |fhat| on the 0.02 grid over [0, 30]: the support cutoff t* (one
@@ -207,6 +243,11 @@ class _BumpPair:
             zs = np.abs(ys) / w.radius
         conv = _node_sum(zs, 2.0, lambda z: (_seed_bump(z[:, None] - _BUMP_NODES) * _BUMP_NODE_WEIGHTS).sum(axis=1))
         return conv / (w.radius * _BUMP_FHAT0 * _BUMP_FHAT0)
+
+    def table(self, w, N, X):
+        # x / N scales to t = x h with h = radius / N: an arithmetic grid, mirrored to x < 0
+        half = (_bump_fhat_grid(w.radius / N, X + 1) / _BUMP_FHAT0) ** 2
+        return np.concatenate([half[:0:-1], half])
 
     def support_cutoff(self, w):
         return _bump_scan()[0] / w.radius
@@ -353,42 +394,40 @@ def _convolution_transforms(coeffs, q: int) -> int:
     return len({c % q for c in coeffs}) + 1
 
 
-def _axis_data(
-    form: DiagonalForm, q: int, p: int, N: float, w: WeightSpec, X: int, restrict: str
-):
-    """Per-coordinate admissible lattice values, their weights and squares mod q,
-    plus the weight of every x in [-X, X] at table[x + X].
+def _axis_data(table: np.ndarray, X: int, p: int, q: int, restrict: str):
+    """Per-coordinate admissible lattice values in [-X, X], their weights (table[x + X])
+    and their squares mod q.
 
     restrict is "none", "units" (x coprime to p) or "pdiv" (p | x).
     """
-    table = weight_eval_array(w, np.arange(-X, X + 1) / N)
     xs = np.arange(-X, X + 1, dtype=np.int64)
     if restrict == "units":
         xs = xs[xs % p != 0]
     elif restrict == "pdiv":
         xs = xs[xs % p == 0]
-    return xs, table[xs + X], (xs * xs) % q, table
+    return xs, table[xs + X], (xs * xs) % q
 
 
-def _count_histogram(form, q, p, N, w, X, restrict, target):
-    xs, wts, squares, _ = _axis_data(form, q, p, N, w, X, restrict)
+def _count_histogram(form, modulus, table, X, restrict, budget):
+    q = modulus.q
+    xs, wts, squares = _axis_data(table, X, modulus.p, q, restrict)
     if len(xs) == 0:
         return 0.0, {"axis_points": 0, "convolutions": 0}
     factors = _residue_histograms(form.lambdas, squares, wts, q)
     acc = _cyclic_convolution(factors, q)
     # the transforms that ran: one rfft per factor and the irfft
     cost = {"axis_points": int(len(xs) * form.n), "convolutions": len(factors) + 1}
-    return float(acc[target % q]), cost
+    return float(acc[form.inhomogeneous_term % q]), cost
 
 
-def _count_enumerate(form, modulus, q, p, N, w, X, restrict, budget):
+def _count_enumerate(form, modulus, table, X, restrict, budget):
     """Literal outer-box enumeration with the solved-coordinate square-root trick."""
-    n = form.n
+    n, q, p = form.n, modulus.q, modulus.p
     # solve for the largest coefficient; tie-break on the highest index
     solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
     lam_solve = form.lambdas[solve_idx] % q
     inv_solve = invmod(lam_solve, q)
-    xs, wts, squares, table = _axis_data(form, q, p, N, w, X, restrict)
+    xs, wts, squares = _axis_data(table, X, p, q, restrict)
     outer_idx = [j for j in range(n) if j != solve_idx]
     outer_size = len(xs) ** len(outer_idx)
     charge(outer_size, budget, "box enumeration")
@@ -464,13 +503,13 @@ def count_weighted_direct(
 
     # the side condition in signed parts: units, or all vectors minus p | every x_j
     parts = [("units", 1)] if mode == UNIT_COORDS else [("none", 1), ("pdiv", -1)]
-    target = form.inhomogeneous_term % q
+    count_part = _count_enumerate
     if strategy == "histogram":
         transforms = _convolution_transforms(form.lambdas, q)
         charge(len(parts) * (n * (2 * X + 1) + _fft_cost(transforms, q)), budget_val, "histogram count")
-        counts = [_count_histogram(form, q, p, N, w, X, r, target) for r, _ in parts]
-    else:
-        counts = [_count_enumerate(form, modulus, q, p, N, w, X, r, budget_val) for r, _ in parts]
+        count_part = _count_histogram
+    table = _KINDS[w.kind].table(w, N, X)  # shared by both parts
+    counts = [count_part(form, modulus, table, X, r, budget_val) for r, _ in parts]
     T = sum(sign * t for (_, sign), (t, _) in zip(parts, counts))
     cost = {key: sum(c[key] for _, c in counts) for key in counts[0][1]}
 

@@ -327,6 +327,23 @@ def test_spectral_count_charges_the_dual_kernel_per_level():
     assert rep.T == count_weighted_spectral(form, mod, 10.0, gaussian_weight()).T
 
 
+def test_direct_count_takes_its_bump_weights_from_one_grid_table(monkeypatch):
+    """A not-all-zero bump count at X ~ 9000 runs both parts of its side condition on one
+    table, whose cosines and sines number at most 4 * 192 * (sqrt(X + 1) + 1) elements
+    (two tables, or 28 cosine/sine pairs per point, would exceed that)."""
+    w = bump_pair_weight(0.5)
+    N = 203.0
+    X = math.ceil(weight_support_cutoff(w) * N)  # also runs the cached cutoff scan before counting
+    evaluated = []
+    for name in ("cos", "sin"):
+        trig = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, trig=trig: evaluated.append(np.size(a)) or trig(a))
+    rep = count_weighted_direct(DiagonalForm((1, 1, 2, 1)), PrimePowerModulus(5, 6), N, w, NOT_ALL_ZERO,
+                                strategy="histogram")
+    assert rep.T > 0.0 and 8900 <= X <= 9100
+    assert 0 < sum(evaluated) <= 4 * 192 * (math.sqrt(X + 1) + 1)
+
+
 def test_report_fields():
     g = gaussian_weight()
     rep = count_weighted_direct(DiagonalForm((1, 1), 2), PrimePowerModulus(5, 2), 25.0, g, UNIT_COORDS)

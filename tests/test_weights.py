@@ -4,6 +4,7 @@ against the array path."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,17 +17,21 @@ from congruence_lab.counting import (
     _BUMP_T_MAX,
     _FOLDED_NODES,
     _FOLDED_WEIGHTS,
+    _KINDS,
     BUMP_PAIR,
     GAUSSIAN,
     SHARP_CUTOFF,
     WeightSpec,
     _bump_fhat,
+    _bump_fhat_grid,
     bump_pair_weight,
     gaussian_weight,
+    sharp_cutoff_weight,
     weight_eval,
     weight_eval_array,
     weight_fourier,
     weight_fourier_array,
+    weight_support_cutoff,
 )
 
 
@@ -92,6 +97,8 @@ def test_scalar_functions_equal_array_path(kind, shape, xs):
 
 
 def test_gaussian_at_huge_argument_is_zero_without_warning():
+    """Every kind, not only the Gaussian: past the float range the weight and its
+    transform take their limit 0.0, and the finite points keep their values."""
     w = gaussian_weight(1.0)
     xs = np.array([0.5, 1e200])
     with warnings.catch_warnings():
@@ -100,6 +107,18 @@ def test_gaussian_at_huge_argument_is_zero_without_warning():
         transform = weight_fourier_array(w, xs)
     assert values[1] == 0.0 and transform[1] == 0.0
     assert values[0] == math.exp(-math.pi * 0.25) and transform[0] == math.exp(-math.pi * 0.25)
+
+    huge = np.array([0.3, 1e308, -1e308, math.inf])
+    for w in (gaussian_weight(2.0), bump_pair_weight(2.0), sharp_cutoff_weight(2.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = weight_eval_array(w, huge)
+            transform = weight_fourier_array(w, huge)
+        assert (values[1:] == 0.0).all() and (transform[1:] == 0.0).all(), w.kind
+        assert values[0] == weight_eval(w, 0.3) > 0.0 and transform[0] == weight_fourier(w, 0.3) != 0.0
+    sharp = sharp_cutoff_weight(2.0)
+    assert weight_fourier(sharp, 0.3) == 4.0 * np.sinc(1.2)
+    assert weight_fourier_array(sharp, [1e300])[0] == 4.0 * np.sinc(4e300)
 
 
 def cosine_matrix_fhat(ts):
@@ -170,9 +189,11 @@ def test_bump_kernels_give_each_argument_its_value_alone():
 
 
 def mpmath_fhat(t):
-    """The same 192-node folded trapezoid sum at 40 digits, nodes and weights taken exactly."""
+    """The same 192-node folded trapezoid sum at 40 digits, nodes, weights and t (a float
+    or a Fraction) taken exactly."""
+    t = Fraction(t)
     with mpmath.workdps(40):
-        arg = 2 * mpmath.pi * mpmath.mpf(t)
+        arg = 2 * mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
         return float(mpmath.fsum(mpmath.mpf(float(wt)) * mpmath.cos(arg * mpmath.mpf(float(u)))
                                  for u, wt in zip(_FOLDED_NODES, _FOLDED_WEIGHTS)))
 
@@ -185,3 +206,34 @@ def test_bump_transform_accuracy_against_mpmath():
     worst = np.abs(_bump_fhat(ts) - exact).max()
     assert worst <= 1e-15 * exact[0]
     assert worst <= np.abs(cosine_matrix_fhat(ts) - exact).max()
+
+
+def test_bump_table_accuracy_against_mpmath():
+    """The grid behind the six-square box mod 5^6 (radius 0.5, N = 203, X = 8965), at
+    ~360 x, is within 1e-15 of fhat(0) of the exact trapezoid sum at t = x * radius / N."""
+    radius, N = 0.5, 203.0
+    X = math.ceil(weight_support_cutoff(bump_pair_weight(radius)) * N)
+    xs = np.unique(np.concatenate([np.arange(0, X + 1, 30), np.random.default_rng(13).integers(0, X + 1, 60)]))
+    exact = np.array([mpmath_fhat(Fraction(int(x)) * Fraction(radius) / Fraction(N)) for x in xs])
+    worst = np.abs(_bump_fhat_grid(radius / N, X + 1)[xs] - exact).max()
+    assert X == 8965
+    assert worst <= 1e-15 * exact[0]
+
+
+@settings(max_examples=10, deadline=None)  # the oracle takes ~2 s at the largest box, X = 2.2e6
+@given(radius=st.floats(0.05, 4.0), N=st.floats(0.5, 5000.0))
+def test_bump_table_matches_the_pointwise_weight(radius, N):
+    """A direct count's bump table over its own box [-X, X] is even and within 4e-15 of
+    the weight evaluated point by point (which is even too, so x >= 0 covers every x)."""
+    w = bump_pair_weight(radius)
+    X = math.ceil(weight_support_cutoff(w) * N)
+    table = _KINDS[BUMP_PAIR].table(w, N, X)
+    assert table.shape == (2 * X + 1,)
+    assert (table == table[::-1]).all()
+    assert np.abs(table[X:] - weight_eval_array(w, np.arange(X + 1) / N)).max() <= 4e-15
+
+
+@pytest.mark.parametrize("w", [gaussian_weight(0.7), sharp_cutoff_weight(1.3)])
+def test_gaussian_and_sharp_tables_are_the_pointwise_weight(w):
+    N, X = 37.0, 300
+    assert np.array_equal(_KINDS[w.kind].table(w, N, X), weight_eval_array(w, np.arange(-X, X + 1) / N))

@@ -277,23 +277,54 @@ def _pow_array(x: np.ndarray, e: int, m: int) -> np.ndarray:
     return out
 
 
+# Newton's lift starts from a table of inverse square roots mod the largest
+# p^t0 <= LIFT_SEED_LIMIT, which holds at most 2^14 int64 entries (128 KiB)
+LIFT_SEED_LIMIT = 1 << 14
+
+
+@lru_cache(maxsize=8)
+def _inverse_sqrt_seed(p: int) -> tuple[int, np.ndarray]:
+    """(t0, table) for p^2 <= LIFT_SEED_LIMIT: p^t0 is the largest power of p
+    up to the limit, and table[z] is one inverse square root of every unit
+    square z mod p^t0 (0 elsewhere)."""
+    t0 = 1
+    while p ** (t0 + 1) <= LIFT_SEED_LIMIT:
+        t0 += 1
+    m = p**t0
+    units = np.arange(1, m, dtype=np.int64)
+    units = units[units % p != 0]
+    table = np.zeros(m, dtype=np.int64)
+    table[units * units % m] = _pow_array(units, m - m // p - 1, m)  # u^-1 is a root of 1/u^2
+    table.flags.writeable = False
+    return t0, table
+
+
 def lift_sqrt_array(z: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
     """Roots u mod p^s with u^2 = z and u = w mod p, elementwise.
 
     ``z`` holds units mod p^s that are squares mod p and ``w`` their roots
     mod p.  Newton's inverse-square-root step y <- y (3 - z y^2) / 2 doubles
-    the precision of y = 1/sqrt(z) from y = w^{-1} mod p, and u = z y.  The
-    arithmetic is int64 while p^(2s) < 2^63, reducing after every product;
-    above that each element goes through the scalar ``_lift_sqrt`` and the
-    result holds Python ints.
+    the precision of y = 1/sqrt(z), and u = z y.  For p^2 <= LIFT_SEED_LIMIT
+    y starts mod p^t0 from the cached ``_inverse_sqrt_seed`` table entry of
+    z, negated unless y = w^{-1} mod p (for odd p a unit square mod p is a
+    square mod every p^t, so the entry exists), and no step runs for
+    s <= t0; for larger p y starts from w^{-1} mod p.  The arithmetic is
+    int64 while p^(2s) < 2^63, reducing after every product; above that each
+    element goes through the scalar ``_lift_sqrt`` and the result holds
+    Python ints.
     """
     q = p**s
     if residue_dtype(q) is object:
         roots = (_lift_sqrt(int(wi), int(zi), p, 1, s) for zi, wi in zip(z, w))
         return np.fromiter(roots, dtype=object, count=len(z))
     z = np.asarray(z, dtype=np.int64) % q
-    y = prime_tables(p).inverse[np.asarray(w, dtype=np.int64) % p]
-    t = 1
+    w = np.asarray(w, dtype=np.int64) % p
+    if p * p <= LIFT_SEED_LIMIT:
+        t, table = _inverse_sqrt_seed(p)
+        y = table[z % p**t]
+        y = np.where(y * w % p == 1, y, p**t - y)
+    else:
+        t, y = 1, prime_tables(p).inverse[w]
     while t < s:
         t = min(2 * t, s)
         m = p**t

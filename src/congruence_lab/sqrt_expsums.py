@@ -6,9 +6,12 @@ k * Lambda mod p^s, optionally restricted to a residue class mod p or
 twisted by the Jacobi symbol.  A scan harness measures the empirical
 constant in the p^(s/2) * log(p^s) bound over pseudo-random parameters.
 
-Sums are evaluated in batches: the k-terms of many rows with the same p and
-s run through one array pass per chunk, with the roots from the vectorized
-int64 lift ``modmath.lift_sqrt_array`` and the characters added per row by
+Sums are evaluated in batches over the terms they keep: k * Lambda mod p
+depends only on the index of k in its progression mod p, so a small table
+per row lists which k have roots in the row's class, in increasing order.
+Only those terms of the rows with the same p and s run through one array
+pass per chunk, with the roots from the vectorized int64 lift
+``modmath.lift_sqrt_array`` and the characters added per row by
 ``np.bincount`` in k order, so each value equals the term-by-term sum.
 """
 
@@ -26,9 +29,10 @@ from .modmath import TWO_PI, lift_sqrt_array, prime_tables, require_odd_prime, r
 
 ROW_TERM_BUDGET = 10**7
 
-# k-terms per array pass: the working arrays stay ~1.5 MiB however long the
-# rows are, instead of growing with the row length
-CHUNK_TERMS = 1 << 14
+# kept terms per array pass: the working arrays stay under 1 MiB however
+# long the rows are, instead of growing with the row length; 2^14 raised the
+# expsum-scan CLI's peak RSS by ~1.1 MiB and ran no faster
+CHUNK_TERMS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class SqrtSumParams:
 
 
 def _term_count(ps: SqrtSumParams) -> int:
-    """Number of k = b mod c in [1, K], before the k = 0 mod p filter."""
+    """Number of k = b mod c in [1, K], before keeping those with roots."""
     k0 = ps.b % ps.c or ps.c
     return max(0, (ps.K - k0) // ps.c + 1)
 
@@ -74,28 +78,43 @@ def _term_count(ps: SqrtSumParams) -> int:
 def _root_sums(rows: list[SqrtSumParams]) -> list[complex]:
     """``sqrt_root_sum`` of every row, for rows sharing p and s.
 
-    The k-terms of all rows are laid end to end and evaluated in chunks of
-    ``CHUNK_TERMS``: each chunk builds its k by ``arange`` arithmetic, keeps
-    k != 0 mod p whose k * Lambda has a root in the row's class, lifts the
-    roots with ``lift_sqrt_array`` and adds the characters per row with
-    ``np.bincount``.  A row running on from the previous chunk enters with
-    its partial sum as its first weight, and ``np.bincount`` adds in order,
-    so each value is the left-to-right sum over k, term by term.
+    Term i of a row is k = k0 + c * i, so z = k * Lambda mod p^s is
+    z0 + zs * i with z0 = k0 * Lambda and zs = c * Lambda, and z mod p
+    depends on i mod p alone (on nothing when p | c).  A rows x p table,
+    built once, gives each row its admitted residues S of i mod p in
+    increasing order (z mod p a nonzero square for aggregate rows, a^2 for
+    a fixed class a, never 0) with the root w mod p of each; the t-th kept
+    term is then i = p * (t // |S|) + S[t % |S|].  The kept terms of all rows
+    are laid end to end and evaluated in chunks of ``CHUNK_TERMS``: each
+    chunk lifts its roots with ``lift_sqrt_array`` and adds the characters
+    per row with ``np.bincount``.  A row running on from the previous chunk
+    enters with its partial sum as its first weight, and ``np.bincount`` adds
+    in order, so each value is the left-to-right sum over k, term by term.
     """
     p, s = rows[0].p, rows[0].s
+    block = max(1, CHUNK_TERMS // p)
+    if len(rows) > block:  # keeps the rows x p tables within CHUNK_TERMS cells for large p
+        return [v for lo in range(0, len(rows), block) for v in _root_sums(rows[lo : lo + block])]
     q = p**s
     leg, root, _ = prime_tables(p)
     dtype = residue_dtype(q)
-    counts = np.array([_term_count(ps) for ps in rows], dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # a row with terms has k0 <= K <= q, and with two or more also c <= q
-    k0 = np.array([min(ps.b % ps.c or ps.c, q) for ps in rows], dtype=dtype)
-    step = np.array([min(ps.c, q) for ps in rows], dtype=dtype)
-    lam = np.array([ps.Lambda % q for ps in rows], dtype=dtype)
+    n = np.array([_term_count(ps) for ps in rows], dtype=np.int64)
+    z0 = np.array([(ps.b % ps.c or ps.c) * ps.Lambda % q for ps in rows], dtype=dtype)
+    zs = np.array([ps.c * ps.Lambda % q for ps in rows], dtype=dtype)
     fixed = np.array([ps.a is not None for ps in rows])
     a_res = np.array([(ps.a or 0) % p for ps in rows], dtype=np.int64)
     twisted = np.array([ps.mu == 1 and s % 2 == 1 for ps in rows])  # (u/p^s) = (u/p)^s is 1 for even s
+    residues = np.arange(p)
+    zp = (z0 % p).astype(np.int64)[:, None] + (zs % p).astype(np.int64)[:, None] * residues
+    zp %= p
+    admit = np.where(fixed[:, None], zp == (a_res * a_res % p)[:, None], leg[zp] == 1)
+    order = np.argsort(~admit, axis=1, kind="stable")  # the admitted residues first, increasing
+    base = np.where(fixed[:, None], a_res[:, None], root[np.take_along_axis(zp, order, axis=1)])
+    period = admit.sum(axis=1)
+    kept = period * (n // p) + (admit & (residues < (n % p)[:, None])).sum(axis=1)
+    order, base = order.ravel(), base.ravel()
+    ends = np.cumsum(kept)
+    starts = ends - kept
     theta = TWO_PI / q
     re = np.zeros(len(rows))
     im = np.zeros(len(rows))
@@ -106,15 +125,12 @@ def _root_sums(rows: list[SqrtSumParams]) -> list[complex]:
         last = int(np.searchsorted(ends, hi - 1, side="right")) + 1
         spans = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
         row = np.repeat(np.arange(first, last), spans)
-        k = k0[row] + step[row] * (np.arange(lo, hi) - starts[row])
-        z = k * lam[row] % q
-        zp = (z % p).astype(np.int64)
-        keep = (k % p != 0) & np.where(fixed[row], zp == a_res[row] ** 2 % p, root[zp] >= 0)
-        row, z, zp = row[keep], z[keep], zp[keep]
-        alone = fixed[row]
-        u = lift_sqrt_array(z, np.where(alone, a_res[row], root[zp]), p, s)
+        cycle, j = np.divmod(np.arange(lo, hi) - starts[row], period[row])
+        cell = row * p + j
+        z = (z0[row] + zs[row] * (cycle * p + order[cell])) % q
+        u = lift_sqrt_array(z, base[cell], p, s)
         term = np.exp(1j * (theta * u.astype(np.float64)))
-        pair = ~alone
+        pair = ~fixed[row]
         if pair.any():
             # the two roots u and q - u of k * Lambda, each with its own sign when twisted
             u, v = u[pair], q - u[pair]
@@ -143,9 +159,10 @@ def sqrt_root_sum(params: SqrtSumParams) -> complex:
 
     Iterates k = b mod c with 0 < k <= K and (k, p) = 1; the roots of
     k * Lambda mod p^s come from one ``lift_sqrt_array`` call per chunk of
-    k (a Newton inverse-square-root lift of the base root mod p, O(log s)
-    array products).  This is the one-row case of the batched evaluation
-    that ``bound_scan`` runs over whole groups of rows.
+    the k that have roots in the row's class (a Newton inverse-square-root
+    lift seeded from a table mod p^t0, O(log(s / t0)) array products).  This
+    is the one-row case of the batched evaluation that ``bound_scan`` runs
+    over whole groups of rows.
     """
     return _root_sums([params])[0]
 
@@ -159,42 +176,52 @@ class BoundScanRow:
     normalized: float
 
 
-class _Lcg:
-    """Deterministic 64-bit linear congruential generator (Knuth constants).
+# The scan's 64-bit linear congruential generator (Knuth's constants):
+# state <- state * _LCG_MULT + _LCG_INC mod 2^64, and a draw below n is the
+# high 32 bits mod n, so scans reproduce exactly across platforms.
+_LCG_MULT = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
 
-    state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64;
-    draws take the high 32 bits, so scans reproduce exactly across platforms.
+
+def _scan_params(
+    p: int, s_values: range | list[int], trials: int, seed: int, c_max: int, k_cap: int, budget: int
+) -> list[SqrtSumParams]:
+    """The scan's rows, ``trials`` per s, drawn from the LCG seeded by ``seed``.
+
+    Each row draws, in order: Lambda (again while p | Lambda), its kind
+    (a fixed class a, drawn next, or the aggregate with mu = 0 or 1), c,
+    K <= min(p^s, c * k_cap) and b mod c.  A running total of K // c + 1 is
+    charged as the rows are drawn, so a refused scan stops at the first row
+    that crosses ``budget``.
     """
-
-    MULT = 6364136223846793005
-    INC = 1442695040888963407
-    MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self.state = (seed ^ 0x9E3779B97F4A7C15) & self.MASK
-
-    def next_below(self, n: int) -> int:
-        self.state = (self.state * self.MULT + self.INC) & self.MASK
-        return (self.state >> 32) % n
-
-
-def _random_row_params(rng: _Lcg, p: int, s: int, c_max: int, k_cap: int) -> SqrtSumParams:
-    q = p**s
-    lam = 1 + rng.next_below(q - 1)
-    while lam % p == 0:
-        lam = 1 + rng.next_below(q - 1)
-    kind = rng.next_below(3)
-    if kind == 0:
-        a: int | None = 1 + rng.next_below(p - 1)
-        mu = 0
-    else:
-        a = None
-        mu = kind - 1
-    c = 1 + rng.next_below(c_max)
-    k_hi = min(q, c * k_cap)
-    K = 1 + rng.next_below(k_hi)
-    b = rng.next_below(c)
-    return SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=b, c=c, K=K, mu=mu)
+    mult, inc, mask = _LCG_MULT, _LCG_INC, _LCG_MASK
+    state = (seed ^ 0x9E3779B97F4A7C15) & mask
+    params = []
+    total = 0
+    for s in s_values:
+        q = p**s
+        for _ in range(trials):
+            lam = 0
+            while lam % p == 0:
+                state = (state * mult + inc) & mask
+                lam = 1 + (state >> 32) % (q - 1)
+            state = (state * mult + inc) & mask
+            kind = (state >> 32) % 3
+            a = None
+            if kind == 0:
+                state = (state * mult + inc) & mask
+                a = 1 + (state >> 32) % (p - 1)
+            state = (state * mult + inc) & mask
+            c = 1 + (state >> 32) % c_max
+            state = (state * mult + inc) & mask
+            K = 1 + (state >> 32) % min(q, c * k_cap)
+            state = (state * mult + inc) & mask
+            b = (state >> 32) % c
+            total += K // c + 1
+            charge(total, budget, "bound scan")
+            params.append(SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=b, c=c, K=K, mu=max(kind - 1, 0)))
+    return params
 
 
 def bound_scan(
@@ -211,24 +238,25 @@ def bound_scan(
 
     Rows are generated by the documented LCG from ``seed``, so the output is
     identical across runs; ``k_cap`` bounds the number of k-terms per row
-    (the per-row budget).  Rows with the same s are evaluated together in
-    bounded chunks of k-terms, each value equal to ``sqrt_root_sum`` of its
-    row.  ``threads`` is accepted and ignored: the rows run in one thread,
-    since a thread pool bought nothing under the GIL.
+    (the per-row budget), and a scan whose rows total more than ``budget``
+    terms is refused at the first row that crosses it.  Rows with the same s
+    are evaluated together in bounded chunks of kept terms, each value equal
+    to ``sqrt_root_sum`` of its row.  ``threads`` is accepted and ignored:
+    the rows run in one thread, since a thread pool bought nothing under the
+    GIL.
     """
     require_odd_prime(p)
     if any(s < 2 for s in s_values):
         raise ValidationError("s must be at least 2")
     if trials < 1:
         raise ValidationError("trials must be positive")
+    if c_max < 1:
+        raise ValidationError(f"c_max must be at least 1, got {c_max}")
+    if k_cap < 1:
+        raise ValidationError(f"k_cap must be at least 1, got {k_cap}")
     budget_val = resolve_budget(budget)
     charge(min(k_cap, ROW_TERM_BUDGET), ROW_TERM_BUDGET, "scan row terms")
-    rng = _Lcg(seed)
-    all_params = []
-    for s in s_values:
-        for _ in range(trials):
-            all_params.append(_random_row_params(rng, p, s, c_max, min(k_cap, ROW_TERM_BUDGET)))
-    charge(sum(ps.K // ps.c + 1 for ps in all_params), budget_val, "bound scan")
+    all_params = _scan_params(p, s_values, trials, seed, c_max, min(k_cap, ROW_TERM_BUDGET), budget_val)
 
     rows = []
     for s, group in groupby(all_params, key=lambda ps: ps.s):

@@ -310,6 +310,13 @@ def test_bad_scale_or_range_is_a_validation_error(args, flag):
     assert "Traceback" not in err and flag in err
 
 
+@pytest.mark.parametrize("flag, value, name", [("--c-max", "0", "c_max"), ("--k-cap", "0", "k_cap"), ("--k-cap", "-5", "k_cap")])
+def test_scan_c_max_and_k_cap_below_one_are_validation_errors(flag, value, name):
+    code, out, err = run_main(["expsum-scan", "--p", "3", "--s-range", "2..3", "--trials", "2", flag, value])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and name in err
+
+
 # good values first and more often: hypothesis shrinks toward the start of each list
 _NUMBERS = st.sampled_from(["25", "0.5", "3", "9", "0.7", "1000", "1e308", "1e-300", "0", "-1", "inf", "nan", "abc"])
 _SMALL_INTS = st.integers(-3, 8).map(str)

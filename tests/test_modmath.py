@@ -13,6 +13,7 @@ from congruence_lab.errors import (
     ValidationError,
 )
 from congruence_lab.modmath import (
+    LIFT_SEED_LIMIT,
     PrimePowerModulus,
     Residue,
     RootClassSet,
@@ -324,8 +325,10 @@ def _check_array_lift(p, s, xs, flips):
 
 @st.composite
 def _array_lift_args(draw):
-    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50))
-    s = draw(st.integers(1, int(90 / math.log2(p))))  # p^s < 2^90: both sides of the int64 limit
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50 + [131]))  # 131^2 > LIFT_SEED_LIMIT: the seed is w^-1 mod p
+    t0 = max(t for t in range(1, 15) if p**t <= LIFT_SEED_LIMIT)
+    # s on both sides of the seed level t0, and p^s < 2^90: both sides of the int64 limit
+    s = draw(st.integers(1, t0 + 1) | st.integers(1, int(90 / math.log2(p))))
     xs = draw(st.lists(st.integers(1, p**s - 1).filter(lambda x: x % p), min_size=0, max_size=12))
     return p, s, xs, draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
 

@@ -1,12 +1,13 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab.errors import ValidationError
+from congruence_lab.errors import BudgetExceeded, ValidationError
 from congruence_lab.modmath import (
     PrimePowerModulus,
     additive_character,
@@ -152,6 +153,29 @@ def test_scan_determinism_and_csv():
     assert all(len(line.split(",")) == len(SCAN_CSV_COLUMNS) for line in lines)
 
 
+@pytest.mark.parametrize("kwargs, name", [({"c_max": 0}, "c_max"), ({"k_cap": 0}, "k_cap"), ({"k_cap": -5}, "k_cap")])
+def test_scan_rejects_c_max_and_k_cap_below_one(kwargs, name):
+    with pytest.raises(ValidationError, match=name):
+        bound_scan(3, [2, 3], 2, seed=1, **kwargs)
+
+
+def test_refused_scan_stops_drawing_at_the_row_that_crosses_the_budget():
+    drawn = []
+
+    def counting_params(**fields):
+        drawn.append(fields)
+        return SqrtSumParams(**fields)
+
+    budget, k_cap = 10**5, 1000
+    with mock.patch.object(sqrt_expsums, "SqrtSumParams", counting_params):
+        with pytest.raises(BudgetExceeded, match="bound scan"):
+            bound_scan(3, range(2, 11), 10_000, seed=1, k_cap=k_cap, budget=budget)
+    # each row adds K // c + 1 <= k_cap + 1, so the rows before the crossing one sum to within that of the budget
+    total = sum(row["K"] // row["c"] + 1 for row in drawn)
+    assert budget - (k_cap + 1) < total <= budget
+    assert len(drawn) < 9 * 10_000
+
+
 def test_scan_rows_respect_bound_shape():
     rows = bound_scan(3, range(2, 8), 10, seed=5)
     for row in rows:
@@ -236,6 +260,19 @@ def scalar_root_sum(params):
     return total
 
 
+def kept_term_count(params):
+    """Terms the scalar loop keeps: k != 0 mod p with k * Lambda mod p a square (a^2 for a fixed class)."""
+    p = params.p
+    kept = 0
+    for k in range(params.b % params.c or params.c, params.K + 1, params.c):
+        zp = k * params.Lambda % p
+        if params.a is None:
+            kept += zp != 0 and pow(zp, (p - 1) // 2, p) == 1
+        else:
+            kept += zp == params.a * params.a % p
+    return kept
+
+
 def _same_complex(got, want):
     return type(got) is complex and (got.real, got.imag) == (want.real, want.imag)
 
@@ -263,12 +300,69 @@ def test_root_sum_equals_scalar_loop_exactly(params):
 
 @pytest.mark.parametrize("a,mu", [(None, 0), (None, 1), (1, 0), (2, 1)])
 def test_rows_spanning_several_chunks_equal_scalar_loop(a, mu):
-    # 3^9 and 3^10 terms in int64, ~25000 terms mod 11^10 past the int64 limit:
-    # each row runs over 2 to 4 chunks of CHUNK_TERMS
-    for p, s, lam, c in [(3, 9, 2, 1), (3, 10, 5, 1), (11, 10, 7, 11**10 // 25_000)]:
+    # 5^7 and 3^10 terms in int64, ~10^5 terms mod 11^10 past the int64 limit:
+    # each row keeps more than CHUNK_TERMS of them, so it runs over 2 to 6 chunks
+    for p, s, lam, c in [(5, 7, 2, 1), (3, 10, 5, 1), (11, 10, 7, 11**10 // 100_000)]:
         params = SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=0, c=c, K=p**s, mu=mu)
-        assert sqrt_expsums._term_count(params) > sqrt_expsums.CHUNK_TERMS
+        assert kept_term_count(params) > sqrt_expsums.CHUNK_TERMS
         assert _same_complex(sqrt_root_sum(params), scalar_root_sum(params))
+
+
+@st.composite
+def _root_sum_groups(draw):
+    """1 to 40 rows sharing p and s, as ``bound_scan`` hands them to ``_root_sums``."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    s = draw(st.integers(2, 10))
+    q = p**s
+    unit = st.integers(1, q - 1).filter(lambda x: x % p)
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        # p | c fixes k * Lambda mod p: every term is kept, or none, as for a class that never occurs
+        c = draw(st.integers(1, 64) | st.integers(1, 8).map(lambda m: m * p))
+        # mostly short rows, some over several chunks; K below b mod c leaves a row empty
+        terms = draw(st.sampled_from([1500] * 7 + [3 * sqrt_expsums.CHUNK_TERMS]))
+        rows.append(SqrtSumParams(
+            p=p, s=s, Lambda=draw(unit), a=draw(st.none() | st.integers(1, p - 1)),
+            b=draw(st.integers(0, c - 1)), c=c, K=draw(st.integers(1, min(q, terms * c))),
+            mu=draw(st.integers(0, 1)),
+        ))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_sum_groups(), st.sampled_from([sqrt_expsums.CHUNK_TERMS, 300]))
+def test_group_root_sums_equal_scalar_loop_exactly(rows, chunk):
+    # 300-term chunks put many more row boundaries inside chunks and split groups of
+    # more than 300 // p rows into blocks
+    with mock.patch.object(sqrt_expsums, "CHUNK_TERMS", chunk):
+        sums = sqrt_expsums._root_sums(rows)
+    assert len(sums) == len(rows)
+    for got, params in zip(sums, rows):
+        assert _same_complex(got, scalar_root_sum(params))
+
+
+def test_lift_sees_only_kept_terms_one_call_per_chunk():
+    chunk = sqrt_expsums.CHUNK_TERMS
+    # 3 * CHUNK_TERMS candidates: p does not divide c, p | c with every term kept, a fixed class
+    rows = [
+        SqrtSumParams(p=5, s=8, Lambda=2, a=None, b=1, c=1, K=chunk, mu=0),
+        SqrtSumParams(p=5, s=8, Lambda=3, a=None, b=2, c=5, K=5 * chunk, mu=1),
+        SqrtSumParams(p=5, s=8, Lambda=1, a=2, b=3, c=7, K=7 * chunk, mu=0),
+    ]
+    assert sum(sqrt_expsums._term_count(ps) for ps in rows) == 3 * chunk
+    lifted = []
+    lift = sqrt_expsums.lift_sqrt_array
+
+    def recording_lift(z, w, p, s):
+        lifted.append(len(z))
+        return lift(z, w, p, s)
+
+    with mock.patch.object(sqrt_expsums, "lift_sqrt_array", recording_lift):
+        sums = sqrt_expsums._root_sums(rows)
+    kept = sum(kept_term_count(ps) for ps in rows)
+    assert sum(lifted) == kept
+    assert len(lifted) == -(-kept // chunk)
+    assert all(_same_complex(got, scalar_root_sum(ps)) for got, ps in zip(sums, rows))
 
 
 @pytest.mark.parametrize("p,s_values,k_cap", [(3, range(2, 11), 100_000), (13, [9, 10], 2000), (7, [3, 10], 50_000)])

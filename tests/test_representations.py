@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,7 +285,9 @@ def test_representation_ratio_against_local_global_prediction():
 
 def tau_cone_descent_oracle(k, deltas, r, w, modulus, N):
     """Cone descent over coordinates sorted by decreasing coefficient, signs
-    folded in as a factor 2 per coordinate."""
+    folded in as a factor 2 per coordinate.  Products and sum are exact
+    Fractions of the float weights, rounded once, so the oracle stays correctly
+    rounded where tau underflows into subnormals (float spacing 5e-324 there)."""
     p, q = modulus.p, modulus.q
     deltas = sorted(deltas, reverse=True)
     n = len(deltas)
@@ -294,7 +297,7 @@ def tau_cone_descent_oracle(k, deltas, r, w, modulus, N):
     if k < min_tail[0]:
         return 0.0
     v_max = math.isqrt(k // deltas[-1])
-    axis_weight = weight_fourier_array(w, (p**r) * N / q * np.arange(v_max + 1)).tolist()
+    axis_weight = [Fraction(x) for x in weight_fourier_array(w, (p**r) * N / q * np.arange(v_max + 1)).tolist()]
 
     def descend(j, remaining, weight_acc):
         d = deltas[j]
@@ -304,17 +307,17 @@ def tau_cone_descent_oracle(k, deltas, r, w, modulus, N):
             quot = remaining // d
             v = math.isqrt(quot)
             if v * v != quot or v == 0 or v % p == 0:
-                return 0.0
-            return weight_acc * 2.0 * axis_weight[v]
-        total = 0.0
+                return 0
+            return weight_acc * 2 * axis_weight[v]
+        total = Fraction(0)
         v = 1
         while d * v * v + min_tail[j + 1] <= remaining:
             if v % p != 0:
-                total += descend(j + 1, remaining - d * v * v, weight_acc * 2.0 * axis_weight[v])
+                total += descend(j + 1, remaining - d * v * v, weight_acc * 2 * axis_weight[v])
             v += 1
         return total
 
-    return descend(0, k, 1.0)
+    return float(descend(0, k, Fraction(1)))
 
 
 def singular_coefficient_loop_oracle(q, k, deltas, p):

@@ -264,9 +264,7 @@ def _cmd_count(args) -> dict:
             raise ValidationError("spectral counting supports the inhomogeneous mode only")
         rep = counting.count_weighted_spectral(form, mod, N, w, budget=args.budget)
     else:
-        rep = counting.count_weighted_direct(
-            form, mod, N, w, mode, strategy=args.strategy, budget=args.budget
-        )
+        rep = counting.count_weighted_direct(form, mod, N, w, mode, budget=args.budget)
     return _count_report_dict(rep)
 
 
@@ -277,9 +275,7 @@ def _cmd_verify_asymptotic(args) -> dict:
     for m in _parse_range(args.m_range, "--m-range"):
         mod = PrimePowerModulus(args.p, m)
         N = _resolve_N(args, mod.q)
-        rep = counting.count_weighted_direct(
-            form, mod, N, w, mode, strategy=args.strategy, budget=args.budget
-        )
+        rep = counting.count_weighted_direct(form, mod, N, w, mode, budget=args.budget)
         rows.append({"m": m, "q": mod.q, "N": N, "T": rep.T, "T0": rep.T0, "ratio": rep.ratio})
     return {"rows": rows, "mode": args.mode, "p": args.p, "lambdas": list(args.lam)}
 
@@ -514,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=_finite_positive, default=None)
     sp.add_argument("--theta", type=_finite_positive, default=None, help="N = ceil(q^theta)")
     sp.add_argument("--method", choices=["direct", "spectral"], default="direct")
-    sp.add_argument("--strategy", choices=["auto", "enumerate", "histogram"], default="auto")
     _add_weight_args(sp)
     _add_common(sp)
     sp.set_defaults(func=lambda a: _emit(_cmd_count(a), a.format, a.output))
@@ -526,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-range", required=True, help="like 2..6")
     sp.add_argument("--N", type=_finite_positive, default=None)
     sp.add_argument("--theta", type=_finite_positive, default=None)
-    sp.add_argument("--strategy", choices=["auto", "enumerate", "histogram"], default="auto")
     _add_weight_args(sp)
     _add_common(sp)
     sp.set_defaults(func=lambda a: _emit(_cmd_verify_asymptotic(a), a.format, a.output))

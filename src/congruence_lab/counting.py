@@ -2,15 +2,15 @@
 
 A weighted count T sums a product of one-dimensional weights over lattice
 points satisfying Q(x) = 0 mod p^m under a coprimality side condition.
-Two independent evaluations are provided: direct enumeration over a
-truncated box (with the congruence resolved by modular square roots in the
-solved coordinate), and the spectral route through the dual kernel F, whose
-zero frequency is the main term T0.
+Two independent evaluations are provided: the direct sum over a truncated
+box, either by a meet-in-the-middle join of residue sums (small boxes) or by
+a cyclic convolution of per-coordinate residue histograms (wide boxes), and
+the spectral route through the dual kernel F, whose zero frequency is the
+main term T0.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from .errors import (
     require_finite_positive,
     resolve_budget,
 )
-from .modmath import PrimePowerModulus, invmod, sqrt_classes_mod_prime_power
+from .modmath import PrimePowerModulus, invmod, residue_dtype
 
 GAUSSIAN = "gaussian"
 BUMP_PAIR = "bump_pair"
@@ -62,6 +62,9 @@ class WeightSpec:
             raise ValidationError(f"unknown weight kind {self.kind!r}")
         for name, value in (("sigma", self.sigma), ("radius", self.radius)):
             require_finite_positive(f"weight {name}", value)
+        if self.kind == GAUSSIAN and self.sigma * self.sigma == 0.0:
+            # exp(-pi x^2 / sigma^2) would divide by a square that underflowed to 0
+            raise ValidationError(f"weight sigma={self.sigma!r} is too small: sigma^2 underflows to 0")
 
 
 def gaussian_weight(sigma: float = 1.0) -> WeightSpec:
@@ -396,7 +399,7 @@ def _convolution_transforms(coeffs, q: int) -> int:
 
 def _axis_data(table: np.ndarray, X: int, p: int, q: int, restrict: str):
     """Per-coordinate admissible lattice values in [-X, X], their weights (table[x + X])
-    and their squares mod q.
+    and their squares mod q (Python ints once products mod q leave int64).
 
     restrict is "none", "units" (x coprime to p) or "pdiv" (p | x).
     """
@@ -405,10 +408,10 @@ def _axis_data(table: np.ndarray, X: int, p: int, q: int, restrict: str):
         xs = xs[xs % p != 0]
     elif restrict == "pdiv":
         xs = xs[xs % p == 0]
-    return xs, table[xs + X], (xs * xs) % q
+    return xs, table[xs + X], (xs * xs).astype(residue_dtype(q), copy=False) % q
 
 
-def _count_histogram(form, modulus, table, X, restrict, budget):
+def _count_histogram(form, modulus, table, X, restrict):
     q = modulus.q
     xs, wts, squares = _axis_data(table, X, modulus.p, q, restrict)
     if len(xs) == 0:
@@ -420,50 +423,40 @@ def _count_histogram(form, modulus, table, X, restrict, budget):
     return float(acc[form.inhomogeneous_term % q]), cost
 
 
-def _count_enumerate(form, modulus, table, X, restrict, budget):
-    """Literal outer-box enumeration with the solved-coordinate square-root trick."""
-    n, q, p = form.n, modulus.q, modulus.p
-    # solve for the largest coefficient; tie-break on the highest index
-    solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
-    lam_solve = form.lambdas[solve_idx] % q
-    inv_solve = invmod(lam_solve, q)
-    xs, wts, squares = _axis_data(table, X, p, q, restrict)
-    outer_idx = [j for j in range(n) if j != solve_idx]
-    outer_size = len(xs) ** len(outer_idx)
-    charge(outer_size, budget, "box enumeration")
-    table = table.tolist()
-    root_cache: dict[int, tuple] = {}
-    solves = 0
-    unit_roots_only = restrict == "units"
-    pdiv_roots = restrict == "pdiv"
-    total = 0.0
-    target = form.inhomogeneous_term % q
-    pairs = [list(zip(((form.lambdas[j] % q) * squares % q).tolist(), wts.tolist()))
-             for j in outer_idx]
-    for combo in itertools.product(*pairs):
-        s = 0
-        wt = 1.0
-        for res, wv in combo:
-            s += res
-            wt *= wv
-        rhs = (inv_solve * (target - s)) % q
-        if unit_roots_only and rhs % p == 0:
-            continue
-        cached = root_cache.get(rhs)
-        if cached is None:
-            cached = sqrt_classes_mod_prime_power(rhs, modulus).progressions
-            root_cache[rhs] = cached
-            solves += 1
-        inner = 0.0
-        for offset, step in cached:
-            first = -X + (offset + X) % step
-            for x in range(first, X + 1, step):
-                if pdiv_roots and x % p != 0:
-                    continue
-                inner += table[x + X]
-        total += wt * inner
-    cost = {"outer_points": outer_size, "root_solves": solves}
-    return total, cost
+def _distinct_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the summed weights of each."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, np.bincount(inverse, weights=weights)
+
+
+def _sorted_join(want: np.ndarray, wts: np.ndarray, keys: np.ndarray, key_wts: np.ndarray):
+    """Sum of wts[i] * key_wts[j] over the pairs with want[i] = keys[j], for
+    distinct ascending keys: one binary search per entry of want."""
+    idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    hit = keys[idx] == want
+    return np.dot(wts[hit], key_wts[idx[hit]])
+
+
+def _residue_sums(lambdas, squares: np.ndarray, wts: np.ndarray, q: int):
+    """Every sum of lam_j x_j^2 mod q over the given coordinates (x_j^2 mod q
+    from squares) and the product of the x_j's weights, one entry per vector."""
+    sums, prods = np.zeros(1, dtype=squares.dtype), np.ones(1)
+    for lam in lambdas:
+        sums = ((sums[:, None] + (lam % q) * squares % q) % q).ravel()
+        prods = np.outer(prods, wts).ravel()
+    return sums, prods
+
+
+def _count_enumerate(form, modulus, table, X, restrict):
+    """Meet in the middle: the first n // 2 coordinates' sums mod q are joined
+    against the distinct sums of the others, sorted, at lam_{n+1} minus each."""
+    q = modulus.q
+    xs, wts, squares = _axis_data(table, X, modulus.p, q, restrict)
+    half = form.n // 2
+    left, left_wts = _residue_sums(form.lambdas[:half], squares, wts, q)
+    right, right_wts = _residue_sums(form.lambdas[half:], squares, wts, q)
+    total = _sorted_join((form.inhomogeneous_term % q - left) % q, left_wts, *_distinct_keys(right, right_wts))
+    return float(total), {"axis_points": int(len(xs) * form.n), "outer_points": len(left) + len(right)}
 
 
 def count_weighted_direct(
@@ -477,13 +470,16 @@ def count_weighted_direct(
 ) -> CountReport:
     """Weighted count of lattice solutions of Q(x) = 0 mod p^m in a box.
 
-    The box truncates each coordinate where the weight falls below 1e-12.
-    Strategy "enumerate" walks the outer coordinates and solves the last one
-    through modular square-root classes; "histogram" groups the identical sum
-    by residues (per-coordinate weighted histograms, cyclically convolved),
-    which handles the wide boxes enumeration cannot.  "auto" picks by size.
-    The histogram strategy costs O(n * (X + q log q)) for a box [-X, X]^n:
-    one real FFT per distinct coefficient mod q and one inverse transform.
+    The box [-X, X]^n truncates each coordinate where the weight falls below
+    1e-12.  Strategy "enumerate" meets in the middle: a table of every residue
+    sum of the first n // 2 coordinates, with its weight product, is joined to
+    the sorted distinct sums of the rest, at about E log E operations for
+    E = (2X+1)^(n//2) + (2X+1)^(n - n//2) and nothing of length q, so it
+    serves small boxes at large q.  "histogram" groups the same sum by
+    residues (per-coordinate weighted histograms, cyclically convolved) at
+    O(n * (X + q log q)): one real FFT per distinct coefficient mod q and one
+    inverse transform, which serves wide boxes.  "auto" runs whichever of the
+    two budget charges is smaller.
     """
     if mode not in (UNIT_COORDS, NOT_ALL_ZERO):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -497,19 +493,21 @@ def count_weighted_direct(
     charge(2 * extent + 1, budget_val, "weight table")
     X = math.ceil(extent)
     n = form.n
-    if strategy == "auto":
-        outer = (2 * X + 1) ** (n - 1)
-        strategy = "enumerate" if outer <= min(budget_val, 200_000) else "histogram"
 
     # the side condition in signed parts: units, or all vectors minus p | every x_j
     parts = [("units", 1)] if mode == UNIT_COORDS else [("none", 1), ("pdiv", -1)]
-    count_part = _count_enumerate
-    if strategy == "histogram":
-        transforms = _convolution_transforms(form.lambdas, q)
-        charge(len(parts) * (n * (2 * X + 1) + _fft_cost(transforms, q)), budget_val, "histogram count")
-        count_part = _count_histogram
+    # the half tables and one sort; the axis histograms and their transforms
+    entries = (2 * X + 1) ** (n // 2) + (2 * X + 1) ** (n - n // 2)
+    charges = {
+        "enumerate": len(parts) * entries * entries.bit_length(),
+        "histogram": len(parts) * (n * (2 * X + 1) + _fft_cost(_convolution_transforms(form.lambdas, q), q)),
+    }
+    if strategy == "auto":
+        strategy = min(charges, key=charges.get)
+    charge(charges[strategy], budget_val, f"{strategy} count")
+    count_part = _count_enumerate if strategy == "enumerate" else _count_histogram
     table = _KINDS[w.kind].table(w, N, X)  # shared by both parts
-    counts = [count_part(form, modulus, table, X, r, budget_val) for r, _ in parts]
+    counts = [count_part(form, modulus, table, X, r) for r, _ in parts]
     T = sum(sign * t for (_, sign), (t, _) in zip(parts, counts))
     cost = {key: sum(c[key] for _, c in counts) for key in counts[0][1]}
 

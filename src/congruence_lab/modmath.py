@@ -48,9 +48,10 @@ def is_prime(n: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
-    """Raise ValidationError unless p is an odd prime."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValidationError(f"p={p} must be an odd prime")
+    """Raise ValidationError unless p is an odd prime below MAX_PRIME (2^20):
+    tables of length p stay small and trial division stays fast."""
+    if p >= MAX_PRIME or p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValidationError(f"p={p} must be an odd prime below 2^20")
 
 
 def valuation(x: int, p: int) -> int:
@@ -81,8 +82,6 @@ class PrimePowerModulus:
     q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p >= MAX_PRIME:
-            raise ValidationError(f"p={self.p} must be an odd prime below 2^20")
         require_odd_prime(self.p)
         if not (1 <= self.m <= MAX_EXPONENT):
             raise ValidationError(f"m={self.m} out of range 1..{MAX_EXPONENT}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import WeightSpec, weight_fourier_array
+from .counting import WeightSpec, _distinct_keys, _sorted_join, weight_fourier_array
 from .densities import DiagonalForm
 from .errors import (
     CoprimalityViolated,
@@ -136,20 +136,6 @@ def _tau_half_table(
         sums = sums[rows] + sq[cols]
         wts = wts[rows] * fw[cols]
     return sums, wts
-
-
-def _distinct_keys(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the summed weights of each."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return distinct, np.bincount(inverse, weights=weights)
-
-
-def _sorted_join(want: np.ndarray, wts: np.ndarray, keys: np.ndarray, key_wts: np.ndarray):
-    """Sum of wts[i] * key_wts[j] over the pairs with want[i] = keys[j], for
-    distinct ascending keys: one binary search per entry of want."""
-    idx = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    hit = keys[idx] == want
-    return np.dot(wts[hit], key_wts[idx[hit]])
 
 
 class _TableCache:

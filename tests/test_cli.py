@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import math
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -139,6 +142,51 @@ def test_expsum_scan_bytes_are_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[command]
 
 
+def _readme_cli_lines():
+    """The congruence-lab lines of README.md's sh blocks, without the program name."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    return [line.split(maxsplit=1)[1] for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.splitlines() if line.startswith("congruence-lab ")]
+
+
+# SHA-256 of each README example's stdout; a report byte that moves edits its pin
+PINNED_README_SHA256 = {
+    "eval-gauss 1 0 5 1 --format json":
+        "fe18074becbb494a8d1edec48514a694bd31b960ad238eee6e47b6960dd3a807",
+    "eval-kloosterman 1 1 3 2 --salie":
+        "13a2b5e31f6c6b833335f9714d53ca439d811adaf61e02fdb35fb9c642f1d923",
+    "density C --lambda 1 1 1 --p 5":
+        "a4c2e2c35bcf1084356b05c46f0917fa4b76c5c1d69c11db9b9498dbe24cfdaf",
+    "density B --lambda 1 1 2 --p 5":
+        "8b4a3bf6b5e83b1505be88a9a66a6f2bb9cd8bdf5ed3e84e49b2c80c6ef377b5",
+    "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25":
+        "cd89b9eaefae0b3a926d563ee6938af71f0242952fe6f1f871c0455eb85576e0",
+    "count --mode hom --lambda 1 1 1 1 --p 3 --m 5 --theta 0.6":
+        "f7baab43fa0c5c4dccef89779d6f5bc94a4cb7231309ceb4cfedc516c76eca5f",
+    "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --method spectral":
+        "31ec494d2558a6697a45310e96a1650c24b5a1fa8f4c2cd35e32876a7a25c0d0",
+    "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..6 --theta 0.6":
+        "0b0df1df539866f58a9ed139aa60afa706836efc95bd08f42b1284c37401acba",
+    "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":
+        "27f70aa9b393ae43c9d7d3a5e86fee098a0e47a94919beba44db62456d2a76d0",
+    "tau 2 --deltas 1 1 --p 3 --m 5 --N 10":
+        "2c49e591ec01f3d7feefcbb57256939cebb9762c64b595102d12734b02687afb",
+    "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 50":
+        "c00b0e28fc3b2ba92d689c719abaae8894efda35552f68c8bb054a00350cbe97",
+    "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1":
+        "c0a87520b9d9692510fca6abd3e3023b745d86d330a4a3244cb47e0943ae895b",
+    "selftest --quick":
+        "9536077ae6fb1a53231f16733b454eb47f20d2e79537942282ec2b8c165a4301",
+}
+
+
+@pytest.mark.parametrize("command", _readme_cli_lines())
+def test_readme_examples_are_pinned(command):
+    code, out, err = run_main(shlex.split(command))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_README_SHA256[command]
+
+
 def test_tau_and_singular_series_and_quad():
     res = run_cli(["tau", "2", "--deltas", "1", "1", "--p", "3", "--m", "5", "--N", "10"])
     assert json.loads(res.stdout)["tau"] > 0
@@ -165,6 +213,12 @@ def test_non_finite_weight_shape_is_a_validation_error(flags):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert flags[-2].lstrip("-") in res.stderr
+
+
+def test_gaussian_sigma_whose_square_underflows_is_a_validation_error():
+    code, out, err = run_main([*INHOM_COUNT, "--N", "25", "--sigma", "1e-300", "--budget", "20000"])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "sigma" in err
 
 
 def test_bump_counts_do_not_import_scipy():
@@ -233,6 +287,35 @@ def test_six_square_asymptotic_at_5_9_default_budget_and_5_11_refused(monkeypatc
             code, _, err = run_main(base + ["--m", "11", "--method", method] + weight)
             assert code == 3 and "budget" in err, (method, weight)
         assert abs(T["spectral"] - T["direct"]) <= 1e-9 * T["direct"], weight
+
+
+def test_small_box_at_large_q_runs_the_join_at_the_default_budget(monkeypatch):
+    """Mod 5^10 at theta = 0.3 the histogram would charge ~4.7e8 ops; the join runs."""
+    monkeypatch.delenv("CONGRUENCE_LAB_BUDGET", raising=False)
+    code, out, err = run_main([*INHOM_COUNT[:-1], "10", "--theta", "0.3"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["strategy"] == "enumerate"
+    assert report["T"] == pytest.approx(3.9983918279252135, rel=1e-13)
+
+
+def test_strategy_is_not_an_option(tmp_path):
+    assert run_main([*INHOM_COUNT, "--N", "25", "--strategy", "histogram"])[0] == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy=enumerate\n")
+    code, out, err = run_main([*INHOM_COUNT, "--N", "25", "--config", str(cfg)])
+    assert code == 2 and out == "" and "strategy" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["expsum-scan", "--p", "1000000007", "--s-range", "2..2", "--trials", "1", "--k-cap", "10"],
+    ["density", "B", "--lambda", "7", "9", "7", "--p", "1000000007"],
+])
+def test_prime_past_the_bound_is_a_validation_error(args):
+    """p >= 2^20 is refused before any table of length p is built."""
+    code, out, err = run_main(args)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and "below 2^20" in err
 
 
 def test_budget_env_var():

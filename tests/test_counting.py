@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -25,14 +26,14 @@ from congruence_lab.counting import (
     weight_fourier,
     weight_support_cutoff,
 )
-from congruence_lab.counting import _top_frequency_block, weight_fourier_array
+from congruence_lab.counting import _count_enumerate, _top_frequency_block, weight_fourier_array
 from congruence_lab.densities import DiagonalForm, count_B_m
 from congruence_lab.errors import (
     BudgetExceeded,
     TruncationInsufficient,
     ValidationError,
 )
-from congruence_lab.modmath import PrimePowerModulus
+from congruence_lab.modmath import PrimePowerModulus, sqrt_classes_mod_prime_power
 
 
 def brute_count(form, q, p, N, w, mode):
@@ -475,3 +476,97 @@ def test_spectral_with_top_frequency_block_matches_direct_tightly(lams, lnext, p
     assert rs.cost["k_cutoff"] // p ** (m - 1) >= 1  # the block runs
     rd = count_weighted_direct(form, mod, N, w, UNIT_COORDS)
     assert abs(rs.T - rd.T) <= 1e-9 * rd.T
+
+
+def enumerate_oracle(form, modulus, table, X, restrict):
+    """Literal outer-box enumeration with the solved-coordinate square-root trick
+    (the meet-in-the-middle join's oracle), in Python-int residues and math.fsum.
+
+    Every coordinate but the one with the largest |lam_j| (ties to the highest
+    index) runs over the admissible x in [-X, X]; the last is solved through the
+    square-root classes of the remaining residue.  restrict is "none", "units"
+    or "pdiv", as in the count's parts."""
+    n, q, p = form.n, modulus.q, modulus.p
+    solve_idx = max(range(n), key=lambda j: (abs(form.lambdas[j]), j))
+    inv_solve = pow(form.lambdas[solve_idx] % q, -1, q)
+    xs = [x for x in range(-X, X + 1)
+          if restrict == "none" or (x % p == 0) == (restrict == "pdiv")]
+    weights = table.tolist()
+    pairs = [[((form.lambdas[j] % q) * (x * x % q) % q, weights[x + X]) for x in xs]
+             for j in range(n) if j != solve_idx]
+    target = form.inhomogeneous_term % q
+    root_cache = {}
+    terms = []
+    for combo in itertools.product(*pairs):
+        rhs = inv_solve * (target - sum(res for res, _ in combo)) % q
+        if restrict == "units" and rhs % p == 0:
+            continue
+        if rhs not in root_cache:
+            root_cache[rhs] = sqrt_classes_mod_prime_power(rhs, modulus).progressions
+        inner = [weights[x + X] for offset, step in root_cache[rhs]
+                 for x in range(-X + (offset + X) % step, X + 1, step)
+                 if restrict != "pdiv" or x % p == 0]
+        terms.append(math.prod(wv for _, wv in combo) * math.fsum(inner))
+    return math.fsum(terms)
+
+
+_JOIN_WEIGHTS = [gaussian_weight(), bump_pair_weight(0.5), sharp_cutoff_weight(1.0)]
+
+
+@st.composite
+def _join_cases(draw):
+    """(form, modulus, table, X, restrict): n = 1..4 unit coefficients (some negative),
+    p in {3, 5, 7, 11} with p^m up to past 2^63, and a box with (2X+1)^(n-1) <= 20,000."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n = draw(st.integers(1, 4))
+    q_bits = draw(st.sampled_from([12, 24, 40, 70]))
+    m = draw(st.integers(1, max(1, int(q_bits / math.log2(p)))))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda v: v % p != 0)
+    form = DiagonalForm(tuple(draw(st.lists(unit, min_size=n, max_size=n))),
+                        draw(st.integers(-(p**m), p**m)))
+    x_cap = 300 if n == 1 else int((20_000 ** (1 / (n - 1)) - 1) / 2)
+    X = draw(st.integers(1, x_cap))
+    w = draw(st.sampled_from(_JOIN_WEIGHTS))
+    N = draw(st.floats(0.2, 2.0)) * X / weight_support_cutoff(w)
+    table = weight_eval_array(w, np.arange(-X, X + 1) / N)
+    return form, PrimePowerModulus(p, m), table, X, draw(st.sampled_from(["none", "units", "pdiv"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_join_cases())
+def test_enumerate_join_matches_literal_loop(case):
+    """The join equals the literal loop to rounding, measured against W^n, W the
+    sum of the box's axis weights (an upper bound on every term's total)."""
+    form, mod, table, X, restrict = case
+    T, _ = _count_enumerate(form, mod, table, X, restrict)
+    want = enumerate_oracle(form, mod, table, X, restrict)
+    assert abs(T - want) <= 1e-13 * float(table.sum()) ** form.n
+
+
+@pytest.mark.parametrize("p, m, lnext, N, w", [
+    # (q - 1) * x^2 wrapped int64 in the replaced loop, which returned T = 0
+    # against the brute-force 0.042044992394563295
+    (5, 25, 17, 10.0, gaussian_weight()),
+    # q^2 just past 2^63: (q - 1) * x^2 wraps int64 from |x| > 51,400 on, and the
+    # replaced loop lost x = +-55,000, y = +-55,001 of y^2 - x^2 = 110,001 (12 of 16)
+    (3, 20, 110_001, 56_000.0, sharp_cutoff_weight(1.0)),
+])
+def test_small_box_count_beyond_int64_matches_oracle(p, m, lnext, N, w):
+    form, mod = DiagonalForm((-1, 1), lnext), PrimePowerModulus(p, m)
+    assert mod.q ** 2 >= 1 << 63
+    rep = count_weighted_direct(form, mod, N, w, UNIT_COORDS)
+    assert rep.strategy == "enumerate"
+    X = math.ceil(weight_support_cutoff(w) * N)
+    oracle = enumerate_oracle(form, mod, weight_eval_array(w, np.arange(-X, X + 1) / N), X, "units")
+    assert rep.T == pytest.approx(oracle, rel=1e-13)
+
+
+def test_auto_runs_the_smaller_charge():
+    """A small box at large q runs the join; a wide box at small q the histogram."""
+    form, g = DiagonalForm((1, 1), 2), gaussian_weight()
+    small_box = count_weighted_direct(form, PrimePowerModulus(5, 10), 125.0, g, UNIT_COORDS)
+    wide_box = count_weighted_direct(form, PrimePowerModulus(5, 2), 25.0, g, UNIT_COORDS)
+    assert (small_box.strategy, wide_box.strategy) == ("enumerate", "histogram")
+    assert set(small_box.cost) == {"axis_points", "outer_points"}
+    with pytest.raises(BudgetExceeded, match="histogram count"):
+        count_weighted_direct(form, PrimePowerModulus(5, 10), 125.0, g, UNIT_COORDS, strategy="histogram")

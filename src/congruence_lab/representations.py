@@ -200,15 +200,39 @@ def singular_coefficient(
     """
     if q < 1:
         raise ValidationError("q must be positive")
+    _require_unit_duals(dual, p)
+    charge(_coefficient_cost(q, p, dual.n), resolve_budget(budget), "singular coefficient")
+    return _coefficient(q, k, dual.deltas, p)
+
+
+def _require_unit_duals(dual: DualForm, p: int) -> None:
     require_odd_prime(p)
-    n = dual.n
     if any(d % p == 0 for d in dual.deltas):
         raise CoprimalityViolated("dual coefficients must be units mod p")
-    # square histogram, one transform, n gathers and the final phase sum
-    charge(q * (p + (q - 1).bit_length() + n + 1), resolve_budget(budget), "singular coefficient")
-    table = _coefficient_phase_table(q, p, dual.deltas)
+
+
+def _coefficient_cost(q: int, p: int, n: int) -> int:
+    """Square histogram, one transform, n gathers and the final phase sum."""
+    return q * (p + (q - 1).bit_length() + n + 1)
+
+
+def _series_cost(q_max: int, p: int, n: int) -> int:
+    """The sum of ``_coefficient_cost`` over q <= q_max, in closed form per bit
+    length j of q - 1 (q in (2^(j-1), 2^j]), so a huge q_max refuses at once."""
+
+    def tri(m: int) -> int:
+        return m * (m + 1) // 2
+
+    cost = (p + n + 1) * tri(q_max)
+    for j in range(1, (q_max - 1).bit_length() + 1):
+        cost += j * (tri(min(1 << j, q_max)) - tri(1 << (j - 1)))
+    return cost
+
+
+def _coefficient(q: int, k: int, deltas: tuple[int, ...], p: int) -> float:
+    table = _coefficient_phase_table(q, p, deltas)
     phases = np.exp(-2j * np.pi * (np.arange(q, dtype=np.int64) * (k % q) % q) / q)
-    return float((table @ phases).real / (p * q) ** n)
+    return float((table @ phases).real / (p * q) ** len(deltas))
 
 
 def singular_coefficient_naive(q: int, k: int, dual: DualForm, p: int) -> float:
@@ -246,18 +270,22 @@ def singular_series(
 
     The recorded decay constant is max |a_q(k)| q^(n/2-1); the tail bound is
     that constant times q_max^(2-n/2) (the integral-comparison envelope,
-    degenerating to the constant itself at n = 4).
+    degenerating to the constant itself at n = 4).  The arguments are
+    checked once, and the whole series, the sum of every coefficient's
+    cost, is charged before the first one runs.
     """
     n = dual.n
     if n < 4:
         raise ValidationError("singular series needs n >= 4")
     if q_max < 1:
         raise ValidationError("q_max must be positive")
+    _require_unit_duals(dual, p)
+    charge(_series_cost(q_max, p, n), resolve_budget(budget), "singular series")
     coeffs: dict[int, float] = {}
     decay = 0.0
     partial = 0.0
     for q in range(1, q_max + 1):
-        aq = singular_coefficient(q, k, dual, p, budget=budget)
+        aq = _coefficient(q, k, dual.deltas, p)
         coeffs[q] = aq
         partial += aq
         decay = max(decay, abs(aq) * q ** (n / 2.0 - 1.0))
@@ -302,13 +330,17 @@ def singular_integral(
     rng = np.random.default_rng(seed)
     area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     batch = 40_000
+    vals = np.empty(batch)
     total = 0.0
     total_sq = 0.0
     count = 0
     for _ in range(50):
-        g = rng.standard_normal((batch, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        vals = _shell_values(w, g, t, inv_sqrt)
+        # row blocks draw the same stream as one (batch, n) draw, and each
+        # point's value depends on its own row alone
+        for lo in range(0, batch, 4096):
+            g = rng.standard_normal((min(4096, batch - lo), n))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            vals[lo : lo + len(g)] = _shell_values(w, g, t, inv_sqrt)
         total += vals.sum()
         total_sq += (vals * vals).sum()
         count += batch
@@ -340,12 +372,17 @@ def quadruple_count(
 ) -> int:
     """Exact count of |l_i| <= M with alpha_1 l_1^2 + ... + alpha_4 l_4^2 = b mod c.
 
-    Meet in the middle over l >= 0, a nonzero l standing for +-l: the pair
-    (alpha_3, alpha_4) gets a sorted table of its distinct sums mod c with
-    multiplicities, and one searchsorted of b minus each pair sum of
-    (alpha_1, alpha_2) mod c matches the two.  Nothing of length c is
-    allocated; residues are Python ints once products mod c leave int64.
-    Requires the hypothesis 8 M^2 < c.
+    Meet in the middle over l >= 0, a nonzero l standing for +-l.  The pairs
+    (l_3, l_4) are split by multiplicity: both nonzero (4 sign choices), one
+    table of M^2 sums mod c sorted in place; exactly one zero (2), a table of
+    2M; both zero (1), the sum 0.  The pairs (l_1, l_2) go in blocks of
+    2^14 // (M + 1) values of l_1: each block's b minus its pair sums mod c
+    are sorted and searched in each table, with the run of equal keys
+    measured at the hits alone, and the weighted hits added as exact
+    integers.  The M^2 table is the one large array, 8 M^2 bytes (18 MiB at
+    M = 1500); nothing of length c is allocated, and residues are Python
+    ints once products mod c leave int64.  Requires the hypothesis
+    8 M^2 < c.
     """
     if len(alphas) != 4:
         raise ValidationError("exactly four coefficients are required")
@@ -359,11 +396,25 @@ def quadruple_count(
     size = (M + 1) ** 2
     charge(2 * size * size.bit_length(), resolve_budget(budget), "quadruple count")
     ls = np.arange(M + 1, dtype=residue_dtype(c))
-    sq = [(a % c) * (ls * ls) % c for a in alphas]  # l^2 < c by the hypothesis
+    sq = [(a % c) * (ls * ls) % c for a in alphas]  # l^2 < c by the hypothesis, and sq[j][0] = 0
+    both = (sq[2][1:, None] + sq[3][1:]).ravel()
+    both %= c
+    both.sort()
+    tables = ((both, 4), (np.sort(np.concatenate((sq[2][1:], sq[3][1:]))), 2))
     mult = np.where(ls == 0, 1, 2)
-    pair_mult = np.outer(mult, mult).ravel()
-    keys, counts = _distinct_keys((sq[2][:, None] + sq[3]).ravel() % c, pair_mult)
-    want = (b % c - sq[0][:, None] - sq[1]).ravel() % c
+    rows = max(1, (1 << 14) // (M + 1))
     # exact integer counts; the total is at most (2M+1)^4, inside int64 for
     # every M < 27,000 (larger pair tables would not fit in memory)
-    return int(_sorted_join(want, pair_mult, keys, counts.astype(np.int64)))
+    total = 0
+    for lo in range(0, M + 1, rows):
+        want = ((b % c - sq[0][lo : lo + rows, None] - sq[1]) % c).ravel()
+        wts = np.outer(mult[lo : lo + rows], mult).ravel()
+        order = np.argsort(want)  # sorted keys keep the binary searches in cache
+        want, wts = want[order], wts[order]
+        total += int(wts[want == 0].sum())
+        for table, weight in tables:
+            idx = np.searchsorted(table, want)
+            hit = table[np.minimum(idx, len(table) - 1)] == want
+            runs = np.searchsorted(table, want[hit], side="right") - idx[hit]
+            total += weight * int(np.dot(wts[hit], runs))
+    return total

@@ -80,39 +80,56 @@ def _root_sums(rows: list[SqrtSumParams]) -> list[complex]:
 
     Term i of a row is k = k0 + c * i, so z = k * Lambda mod p^s is
     z0 + zs * i with z0 = k0 * Lambda and zs = c * Lambda, and z mod p
-    depends on i mod p alone (on nothing when p | c).  A rows x p table,
-    built once, gives each row its admitted residues S of i mod p in
-    increasing order (z mod p a nonzero square for aggregate rows, a^2 for
-    a fixed class a, never 0) with the root w mod p of each; the t-th kept
-    term is then i = p * (t // |S|) + S[t % |S|].  The kept terms of all rows
-    are laid end to end and evaluated in chunks of ``CHUNK_TERMS``: each
-    chunk lifts its roots with ``lift_sqrt_array`` and adds the characters
-    per row with ``np.bincount``.  A row running on from the previous chunk
-    enters with its partial sum as its first weight, and ``np.bincount`` adds
-    in order, so each value is the left-to-right sum over k, term by term.
+    depends on i mod p alone (on nothing when p | c).  A row of n terms
+    gets a table over its first min(p, n) residues i, built once: its
+    admitted residues S in increasing order (z mod p a nonzero square for
+    aggregate rows, a^2 for a fixed class a, never 0) with the root w mod p
+    of each.  The t-th kept term is then i = p * (t // |S|) + S[t % |S|];
+    a row with n < p keeps the terms of S alone, so t < |S|.  Rows are
+    taken in blocks of at most ``CHUNK_TERMS`` table cells (a longer row
+    alone), so the tables of a block stay small whatever p is, and their
+    cells total sum(min(p, n)) over the rows, within the scan's charge.
+    The kept terms of a block's rows are laid end to end and evaluated in
+    chunks of ``CHUNK_TERMS``: each chunk lifts its roots with
+    ``lift_sqrt_array`` and adds the characters per row with
+    ``np.bincount``.  A row running on from the previous chunk enters with
+    its partial sum as its first weight, and ``np.bincount`` adds in order,
+    so each value is the left-to-right sum over k, term by term.
     """
-    p, s = rows[0].p, rows[0].s
-    block = max(1, CHUNK_TERMS // p)
-    if len(rows) > block:  # keeps the rows x p tables within CHUNK_TERMS cells for large p
-        return [v for lo in range(0, len(rows), block) for v in _root_sums(rows[lo : lo + block])]
+    p = rows[0].p
+    n = np.array([_term_count(ps) for ps in rows], dtype=np.int64)
+    width = np.minimum(n, p)
+    if len(rows) > 1 and width.sum() > CHUNK_TERMS:
+        sums, lo, cells = [], 0, 0
+        for i, w in enumerate(width.tolist()):
+            if cells + w > CHUNK_TERMS and i > lo:
+                sums += _root_sums(rows[lo:i])
+                lo, cells = i, 0
+            cells += w
+        return sums + _root_sums(rows[lo:])
+    s = rows[0].s
     q = p**s
     leg, root, _ = prime_tables(p)
     dtype = residue_dtype(q)
-    n = np.array([_term_count(ps) for ps in rows], dtype=np.int64)
     z0 = np.array([(ps.b % ps.c or ps.c) * ps.Lambda % q for ps in rows], dtype=dtype)
     zs = np.array([ps.c * ps.Lambda % q for ps in rows], dtype=dtype)
     fixed = np.array([ps.a is not None for ps in rows])
     a_res = np.array([(ps.a or 0) % p for ps in rows], dtype=np.int64)
     twisted = np.array([ps.mu == 1 and s % 2 == 1 for ps in rows])  # (u/p^s) = (u/p)^s is 1 for even s
-    residues = np.arange(p)
-    zp = (z0 % p).astype(np.int64)[:, None] + (zs % p).astype(np.int64)[:, None] * residues
+    # the tables, laid end to end: row r owns cells offset[r] .. offset[r] + width[r] - 1
+    offset = np.cumsum(width) - width
+    table_row = np.repeat(np.arange(len(rows)), width)
+    residues = np.arange(int(width.sum())) - offset[table_row]
+    zp = (z0 % p).astype(np.int64)[table_row] + (zs % p).astype(np.int64)[table_row] * residues
     zp %= p
-    admit = np.where(fixed[:, None], zp == (a_res * a_res % p)[:, None], leg[zp] == 1)
-    order = np.argsort(~admit, axis=1, kind="stable")  # the admitted residues first, increasing
-    base = np.where(fixed[:, None], a_res[:, None], root[np.take_along_axis(zp, order, axis=1)])
-    period = admit.sum(axis=1)
-    kept = period * (n // p) + (admit & (residues < (n % p)[:, None])).sum(axis=1)
-    order, base = order.ravel(), base.ravel()
+    admit = np.where(fixed[table_row], zp == (a_res * a_res % p)[table_row], leg[zp] == 1)
+    # within each row, the admitted residues first, increasing
+    order = np.argsort(2 * table_row + ~admit, kind="stable")
+    base = np.where(fixed[table_row], a_res[table_row], root[zp[order]])
+    order = residues[order]
+    period = np.bincount(table_row[admit], minlength=len(rows))
+    partial = admit & (residues < (n % p)[table_row])  # admitted in the last, partial period
+    kept = period * (n // p) + np.bincount(table_row[partial], minlength=len(rows))
     ends = np.cumsum(kept)
     starts = ends - kept
     theta = TWO_PI / q
@@ -126,7 +143,7 @@ def _root_sums(rows: list[SqrtSumParams]) -> list[complex]:
         spans = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
         row = np.repeat(np.arange(first, last), spans)
         cycle, j = np.divmod(np.arange(lo, hi) - starts[row], period[row])
-        cell = row * p + j
+        cell = offset[row] + j
         z = (z0[row] + zs[row] * (cycle * p + order[cell])) % q
         u = lift_sqrt_array(z, base[cell], p, s)
         term = np.exp(1j * (theta * u.astype(np.float64)))
@@ -183,6 +200,20 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
+# draws per window of the vectorized row generator: ~2700 rows, ~1 MiB of arrays
+SCAN_WINDOW = 1 << 14
+
+
+def _lcg_jumps(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 (A, C) with state_i = A[i] * state_0 + C[i] mod 2^64, i < count."""
+    A = np.ones(1, dtype=np.uint64)
+    C = np.zeros(1, dtype=np.uint64)
+    while len(A) < count:
+        # state_(m+i) = A[i] * state_m + C[i], with state_m = A_m * state_0 + C_m
+        A_m, C_m = A[-1:] * _LCG_MULT, C[-1:] * _LCG_MULT + _LCG_INC
+        A, C = np.concatenate((A, A * A_m)), np.concatenate((C, A * C_m + C))
+    return A[:count], C[:count]
+
 
 def _scan_params(
     p: int, s_values: range | list[int], trials: int, seed: int, c_max: int, k_cap: int, budget: int
@@ -191,36 +222,62 @@ def _scan_params(
 
     Each row draws, in order: Lambda (again while p | Lambda), its kind
     (a fixed class a, drawn next, or the aggregate with mu = 0 or 1), c,
-    K <= min(p^s, c * k_cap) and b mod c.  A running total of K // c + 1 is
-    charged as the rows are drawn, so a refused scan stops at the first row
-    that crosses ``budget``.
+    K <= min(p^s, c * k_cap) and b mod c.  The draws come a window at a
+    time as arrays, from jumps of the LCG, and the rows are read off them:
+    row j ends where row j + 1 starts, after its first accepted Lambda and
+    5 or 6 draws.  A running total of K // c + 1 is charged as the rows are
+    read, and only rows within it are built, so a refused scan stops at the
+    first row that crosses ``budget``.
     """
-    mult, inc, mask = _LCG_MULT, _LCG_INC, _LCG_MASK
-    state = (seed ^ 0x9E3779B97F4A7C15) & mask
+    cap = 1 << 32  # a draw is below 2^32, so any modulus above that leaves it as it is
+    state = (seed ^ 0x9E3779B97F4A7C15) & _LCG_MASK
+    A, C = _lcg_jumps(1)
     params = []
     total = 0
     for s in s_values:
         q = p**s
-        for _ in range(trials):
-            lam = 0
-            while lam % p == 0:
-                state = (state * mult + inc) & mask
-                lam = 1 + (state >> 32) % (q - 1)
-            state = (state * mult + inc) & mask
-            kind = (state >> 32) % 3
-            a = None
-            if kind == 0:
-                state = (state * mult + inc) & mask
-                a = 1 + (state >> 32) % (p - 1)
-            state = (state * mult + inc) & mask
-            c = 1 + (state >> 32) % c_max
-            state = (state * mult + inc) & mask
-            K = 1 + (state >> 32) % min(q, c * k_cap)
-            state = (state * mult + inc) & mask
-            b = (state >> 32) % c
-            total += K // c + 1
-            charge(total, budget, "bound scan")
-            params.append(SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=b, c=c, K=K, mu=max(kind - 1, 0)))
+        left = trials
+        # a row takes 5 or 6 draws and one more per rejected Lambda
+        width = min(SCAN_WINDOW, 8 * left + 16)
+        while left:
+            if len(A) <= width:
+                A, C = _lcg_jumps(width + 1)
+            states = A[1 : width + 1] * np.uint64(state) + C[1 : width + 1]
+            x = (states >> np.uint64(32)).astype(np.int64)
+            accepted = np.where((1 + x % min(q - 1, cap)) % p != 0, np.arange(width), width)
+            lam_at = np.minimum.accumulate(accepted[::-1])[::-1]  # first accepted Lambda from each draw on
+            draws_a = x[np.minimum(lam_at + 1, width - 1)] % 3 == 0  # kind 0
+            row_end = (lam_at + 5 + draws_a).tolist() + [width + 1]  # a row starting at the end is not whole
+            starts = []
+            j = 0
+            while len(starts) < left and row_end[j] <= width:
+                starts.append(j)
+                j = row_end[j]
+            if not starts:
+                width *= 2  # no whole row in the window: a long run of rejected Lambdas
+                continue
+            at = lam_at[starts]  # the draw of each row's Lambda
+            kind = x[at + 1] % 3
+            extra = (kind == 0).astype(np.int64)
+            c = 1 + x[at + 2 + extra] % min(c_max, cap)
+            K = 1 + x[at + 3 + extra] % np.minimum(min(q, cap), c * k_cap)
+            b = x[at + 4 + extra] % c
+            running = total + np.cumsum(K // c + 1)
+            fits = int(np.searchsorted(running, budget, side="right"))
+            lam = 1 + x[at] % min(q - 1, cap)
+            a = np.where(kind == 0, 1 + x[at + 2] % (p - 1), 0)
+            mu = np.maximum(kind - 1, 0)
+            params += [
+                SqrtSumParams(p=p, s=s, Lambda=L, a=a_i or None, b=b_i, c=c_i, K=K_i, mu=mu_i)
+                for L, a_i, b_i, c_i, K_i, mu_i in zip(
+                    lam[:fits].tolist(), a.tolist(), b.tolist(), c.tolist(), K.tolist(), mu.tolist()
+                )
+            ]
+            if fits < len(starts):
+                charge(int(running[fits]), budget, "bound scan")
+            total = int(running[-1])
+            left -= len(starts)
+            state = int(states[j - 1])
     return params
 
 

@@ -9,20 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab.counting import (
+    _distinct_keys,
+    _sorted_join,
     bump_pair_weight,
     gaussian_weight,
+    sharp_cutoff_weight,
     weight_fourier,
     weight_fourier_array,
 )
 from congruence_lab.densities import DiagonalForm
 from congruence_lab.errors import (
+    BudgetExceeded,
     CoprimalityViolated,
     HypothesisViolated,
     IndefiniteForm,
     ValidationError,
 )
 from congruence_lab import representations
-from congruence_lab.modmath import PrimePowerModulus
+from congruence_lab.modmath import PrimePowerModulus, residue_dtype
 from congruence_lab.representations import (
     DualForm,
     quadruple_count,
@@ -435,3 +439,134 @@ def test_singular_coefficient_matches_loop_oracle(q, k, p, n, rnd):
     deltas = tuple(rnd.choice([d for d in range(1, 3 * p) if d % p]) for _ in range(n))
     got = singular_coefficient(q, k, DualForm(deltas), p)
     assert abs(got - singular_coefficient_loop_oracle(q, k, deltas, p)) <= 1e-12, (q, k, deltas, p)
+
+
+def quadruple_pair_join_oracle(alphas, b, c, M):
+    """The one-shot pair join the blocked count replaced: every (l3, l4) sum
+    made distinct with its summed multiplicity, one binary search per
+    (l1, l2) pair."""
+    ls = np.arange(M + 1, dtype=residue_dtype(c))
+    sq = [(a % c) * (ls * ls) % c for a in alphas]
+    mult = np.where(ls == 0, 1, 2)
+    pair_mult = np.outer(mult, mult).ravel()
+    keys, counts = _distinct_keys((sq[2][:, None] + sq[3]).ravel() % c, pair_mult)
+    want = (b % c - sq[0][:, None] - sq[1]).ravel() % c
+    return int(_sorted_join(want, pair_mult, keys, counts.astype(np.int64)))
+
+
+def quadruple_brute_force(alphas, b, c, M):
+    """Every l in [-M, M]^4, one Python-int sum each."""
+    cols = [[a * l * l for l in range(-M, M + 1)] for a in alphas]
+    return sum((sum(v) - b) % c == 0 for v in itertools.product(*cols))
+
+
+@st.composite
+def _quadruple_blocks(draw):
+    M = draw(st.integers(1, 60))
+    # any modulus above 8 M^2, often with c^2 >= 2^63 (Python-int residues)
+    c = draw(st.integers(8 * M * M + 1, 50 * M * M) | st.integers(3 * 10**9, 10**25))
+    alphas = tuple(draw(st.integers(-3 * c, 3 * c)) for _ in range(4))
+    return alphas, draw(st.integers(-2 * c, 2 * c)), c, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(_quadruple_blocks())
+def test_blocked_quadruple_count_equals_pair_join_oracle(case):
+    alphas, b, c, M = case
+    got = quadruple_count(alphas, b, c, M)
+    assert got == quadruple_pair_join_oracle(alphas, b, c, M), case
+    if M <= 8:
+        assert got == quadruple_brute_force(alphas, b, c, M), case
+
+
+def test_quadruple_count_working_set(traced_peak):
+    """The scan-and-series benchmark's box: M = 300 at c = 3^14.  The one-shot
+    join held about six pair-sized arrays (5.6 MiB)."""
+    alphas, c, M = (52, 61, 77, 95), 3**14, 300
+    got, mib = traced_peak(quadruple_count, alphas, 1234567, c, M, p=3)
+    assert got == quadruple_pair_join_oracle(alphas, 1234567, c, M)
+    assert mib <= 2.5
+
+
+def singular_integral_one_batch_oracle(k, P, dual, w, rel_tol=1e-3, seed=0):
+    """The Monte Carlo loop the blocked draws replaced (n >= 3): each batch of
+    40,000 sphere points drawn as one (40000, n) array."""
+    n = dual.n
+    t = k / (P * P)
+    inv_sqrt = np.array([1.0 / math.sqrt(d) for d in dual.deltas])
+    front = 0.5 * t ** (n / 2.0 - 1.0) * float(np.prod(inv_sqrt))
+    rng = np.random.default_rng(seed)
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    batch = 40_000
+    total = 0.0
+    total_sq = 0.0
+    count = 0
+    for _ in range(50):
+        g = rng.standard_normal((batch, n))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        vals = representations._shell_values(w, g, t, inv_sqrt)
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+        count += batch
+        mean = total / count
+        if mean == 0.0:
+            return 0.0
+        var = max(total_sq / count - mean * mean, 0.0)
+        stderr = math.sqrt(var / count)
+        if stderr <= rel_tol * abs(mean) / 2.0:
+            break
+    return front * area * (total / count)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "w", [gaussian_weight(), gaussian_weight(0.7), sharp_cutoff_weight(), bump_pair_weight()],
+    ids=["gauss", "gauss0.7", "sharp", "bump"],
+)
+def test_blocked_singular_integral_is_bit_identical_to_one_batch(n, w):
+    """The sharp cutoff's sign changes keep it sampling over several batches,
+    so the reused value buffer is checked across batches too; the bump's
+    transform is the slow one (~1 s a call), so it gets one case."""
+    deltas = (1, 2, 3, 5, 7, 11)[:n]
+    cases = [(1.3, 0, 1e-2), (0.6, 7, 3e-3), (2.2, 12345, 1e-2)]
+    for k, seed, rel_tol in cases[:1] if w.kind == "bump_pair" else cases:
+        got = singular_integral(k, 1.0, DualForm(deltas), w, rel_tol=rel_tol, seed=seed)
+        want = singular_integral_one_batch_oracle(k, 1.0, DualForm(deltas), w, rel_tol=rel_tol, seed=seed)
+        assert got == want and got != 0.0, (n, w, k, seed)
+
+
+def test_singular_integral_working_set(traced_peak):
+    """The six-variable Gaussian integral of the scan-and-series benchmark; a
+    whole batch drawn at once held 5.6 MiB."""
+    dual = DualForm((1,) * 6)
+    singular_integral(1.1, 1.0, dual, G)  # warm the weight's tables
+    got, mib = traced_peak(singular_integral, 1.1, 1.0, dual, G)
+    assert got == singular_integral_one_batch_oracle(1.1, 1.0, dual, G)
+    assert mib <= 1.5
+
+
+def test_singular_series_charges_the_whole_series_up_front():
+    """The charge is the sum of the per-q costs, taken before any runs; a
+    charge per q alone let q_max = 10,000 run for ~19 s under the default
+    budget."""
+    for q_max, p, n in [(1, 3, 4), (2, 5, 6), (100, 3, 4), (1025, 7, 5)]:
+        want = sum(representations._coefficient_cost(q, p, n) for q in range(1, q_max + 1))
+        assert representations._series_cost(q_max, p, n) == want
+    dual = DualForm((1, 1, 1, 1))
+    assert representations._series_cost(3205, 3, 4) <= 10**8 < representations._series_cost(3206, 3, 4)
+    for q_max in (3206, 10_000, 10**30):
+        with pytest.raises(BudgetExceeded, match="singular series"):
+            singular_series(1, dual, 3, q_max)
+    with pytest.raises(BudgetExceeded, match="singular series"):
+        singular_series(1, dual, 3, 100, budget=representations._series_cost(100, 3, 4) - 1)
+    with pytest.raises(CoprimalityViolated):
+        singular_series(1, DualForm((1, 3, 1, 1)), 3, 5)
+    with pytest.raises(ValidationError):
+        singular_series(1, dual, 9, 5)
+
+
+def test_singular_series_coefficients_equal_singular_coefficient():
+    for deltas, p, k in [((1, 1, 1, 1), 3, 1), ((1, 2, 4, 5, 7), 3, 11), ((2, 3, 1, 4, 1, 6), 5, 23)]:
+        dual = DualForm(deltas)
+        data = singular_series(k, dual, p, 60)
+        assert data.coefficients == {q: singular_coefficient(q, k, dual, p) for q in range(1, 61)}

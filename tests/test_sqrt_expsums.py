@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -383,3 +384,66 @@ def test_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert sum(sqrt_expsums._term_count(r.params) for r in rows) > 5 * sqrt_expsums.CHUNK_TERMS
     assert peak < 3 * 2**20
+
+
+def test_long_p_tables_hold_min_p_n_cells_per_row():
+    """At p = 1,000,003 rows keep at most ~1000 terms each: their admission
+    tables (one stable argsort over the cells of a block) cover min(p, n)
+    residues per row, not all p, and the sums stay bit for bit the scalar
+    loop's."""
+    p = 1_000_003
+    with mock.patch.object(sqrt_expsums.np, "argsort", wraps=sqrt_expsums.np.argsort) as argsort:
+        rows = bound_scan(p, [3], 100, seed=3, k_cap=1000)
+    cells = sum(call.args[0].size for call in argsort.call_args_list)
+    assert cells <= sum(min(p, sqrt_expsums._term_count(r.params)) for r in rows) + p
+    assert max(sqrt_expsums._term_count(r.params) for r in rows) <= 1000
+    # the scalar loop's length-p tables, built once for the rows checked
+    with mock.patch(f"{__name__}._legendre_tables", functools.lru_cache(_legendre_tables)):
+        for row in rows[:: len(rows) // 4]:
+            assert _same_complex(row.value, scalar_root_sum(row.params)), row.params
+
+
+def scan_params_loop_oracle(p, s_values, trials, seed, c_max, k_cap):
+    """The scalar LCG loop the windowed generator replaced, one draw at a time."""
+    mult, inc, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
+    state = (seed ^ 0x9E3779B97F4A7C15) & mask
+    params = []
+    for s in s_values:
+        q = p**s
+        for _ in range(trials):
+            lam = 0
+            while lam % p == 0:
+                state = (state * mult + inc) & mask
+                lam = 1 + (state >> 32) % (q - 1)
+            state = (state * mult + inc) & mask
+            kind = (state >> 32) % 3
+            a = None
+            if kind == 0:
+                state = (state * mult + inc) & mask
+                a = 1 + (state >> 32) % (p - 1)
+            state = (state * mult + inc) & mask
+            c = 1 + (state >> 32) % c_max
+            state = (state * mult + inc) & mask
+            K = 1 + (state >> 32) % min(q, c * k_cap)
+            state = (state * mult + inc) & mask
+            b = (state >> 32) % c
+            params.append(SqrtSumParams(p=p, s=s, Lambda=lam, a=a, b=b, c=c, K=K, mu=max(kind - 1, 0)))
+    return params
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 13, 1_000_003, 1_048_573]),
+    st.lists(st.integers(2, 40), min_size=1, max_size=4),
+    st.integers(1, 300),
+    st.integers(0, 2**64),
+    st.integers(1, 70) | st.integers(2**31, 2**40),
+    st.integers(1, 10**7),
+    st.sampled_from([sqrt_expsums.SCAN_WINDOW, 16]),
+)
+def test_windowed_scan_rows_equal_scalar_lcg_loop(p, s_values, trials, seed, c_max, k_cap, window):
+    # q = p^s from 9 past 2^800, c_max and c * k_cap past the 2^32 range of a draw;
+    # 16-draw windows split the rows over many windows, and some hold no whole row
+    with mock.patch.object(sqrt_expsums, "SCAN_WINDOW", window):
+        got = sqrt_expsums._scan_params(p, s_values, trials, seed, c_max, k_cap, 10**30)
+    assert got == scan_params_loop_oracle(p, s_values, trials, seed, c_max, k_cap)

@@ -184,12 +184,13 @@ def _sqrt_roots(r: int, p: int, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kloosterman_modulus_part(p: int, m: int) -> tuple[complex, int, tuple[int, ...]]:
-    """(eps_c, (-1/c), ((x/c) for x mod p)) at c = p^m: the part of the closed
-    K0/K1 body fixed by c alone, with (x/c) = (x/p)^m as plain ints."""
+def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...]]:
+    """(eps_c, flip, ((x/c) = (x/p)^m for x mod p)) at c = p^m: the roots v, c - v
+    of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed K0/K1 body,
+    with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1 for K1."""
     c = p**m
     twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
-    return epsilon_c(c), jacobi_symbol(-1, c), twist
+    return epsilon_c(c), 1 if twisted else jacobi_symbol(-1, c), twist
 
 
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
@@ -216,12 +217,9 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     if not roots:
         return ZERO_KLOOSTERMAN
     v = roots[0]  # the roots are v and c - v
-    eps, minus_one, twist = _kloosterman_modulus_part(p, m)
-    # the twist at the roots v, c - v is sign * (1, flip): (b/c) for K1, and for
-    # K0 (v/c) times (1, (-1/c)); grouping sign * (eps * flip) keeps the signed
-    # zeros of the reported coefficients.
+    eps, flip, twist = _kloosterman_modulus_part(p, m, twisted)
+    # grouping sign * (eps * flip) keeps the signed zeros of the reported coefficients
     sign = twist[(b if twisted else v) % p]
-    flip = 1 if twisted else minus_one
     terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
     return tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
 
@@ -338,36 +336,40 @@ def F_bruteforce(
     return complex((outer * inner.prod(axis=0)).sum())
 
 
-def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int) -> tuple[complex, np.ndarray]:
-    """(front, table) for the dual kernel at level r, c = p^(m-r): F(p^r l) =
-    front * table[A] for unit-coordinate l, with A = sum of l_j^2 / lam_j mod c.
+def _dual_front(form: DiagonalForm, p: int, m: int, r: int) -> complex:
+    """eps_c^n p^(n(m+r)/2) (lam_1...lam_n / c) at c = p^(m-r): the factor in
+    front of the Kloosterman/Salie sum in F(p^r l) (see ``F_closed``)."""
+    eps, _, twist = _kloosterman_modulus_part(p, m - r, form.n % 2 == 1)
+    return eps**form.n * float(p) ** (form.n * (m + r) / 2.0) * twist[math.prod(form.lambdas) % p]
 
-    front = eps_c^n p^(n(m+r)/2) (lam_1...lam_n / c) and table[A] =
-    K(-A/4, -lam_{n+1}, c), Kloosterman K0 for even n and Salie K1 for odd n:
-    one pass over the units u mod c adds the twisted root terms of the closed
-    forms (see ``kloosterman_closed``) at u^2, read at ab = A lam_{n+1} / 4.
-    The form's coefficients must be units mod p and 0 <= r <= m - 2.
+
+def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wdist: np.ndarray) -> complex:
+    """Sum over A mod c = p^(m-r) of wdist[A] * F(p^r l_A), l_A any unit vector
+    of dual value A, for units lam_j and 0 <= r <= m - 2.
+
+    F(p^r l_A) is the front times K(-A/4, -lam_{n+1}, c), whose roots u of
+    u^2 = A lam_{n+1}/4 add eps_c sign e_c(2u) (see ``_kloosterman_modulus_part``).
+    With k = 2u, wdist is gathered at k^2/lam_{n+1} over the units k, K0's sign is
+    (2/c)(k/c), and k, c - k add to 2cos(2 pi k/c), or 2i sin(2 pi k/c) if flip = -1:
+    one k < c/2 per pair keeps each angle below pi, and the front makes it real.
     """
     p, m, n = modulus.p, modulus.m, form.n
     c = p ** (m - r)
-    prod_lam = 1
-    for lam in form.lambdas:
-        prod_lam = (prod_lam * lam) % c
-    eps = epsilon_c(c)
-    front = eps**n * float(p) ** (n * (m + r) / 2.0) * jacobi_symbol(prod_lam, c)
-    us = np.arange(c, dtype=np.int64)
-    us = us[us % p != 0]
-    root_terms = np.exp(1j * (TWO_PI * ((2 * us) % c) / c))
-    lam_next = form.inhomogeneous_term % c
-    scale = eps * math.sqrt(c)
-    if n % 2 == 0:
-        root_terms *= prime_tables(p).legendre[us % p] ** (m - r)  # (u/c) = (u/p)^(m-r)
+    eps, flip, twist = _kloosterman_modulus_part(p, m - r, n % 2 == 1)
+    sine = flip == -1
+    front = _dual_front(form, p, m, r) * eps * (2.0 * math.sqrt(c)) * (1j if sine else 1)
+    ks = np.delete(np.arange(1, c // 2 + 1, dtype=np.int64), np.s_[p - 1::p])  # the units k < c/2
+    squares = ks * ks % c * invmod(form.inhomogeneous_term % c, c) % c
+    angles = TWO_PI * ks
+    angles /= c
+    pairs = (np.sin if sine else np.cos)(angles, out=angles)
+    if n % 2:
+        front *= twist[-form.inhomogeneous_term % p]  # (b/c) at b = -lam_{n+1}
     else:
-        scale *= jacobi_symbol(-lam_next, c)
-    root_sums = np.zeros(c, dtype=np.complex128)
-    np.add.at(root_sums, (us * us) % c, root_terms)
-    ab = (np.arange(c, dtype=np.int64) * (lam_next * invmod(4, c) % c)) % c
-    return front, scale * root_sums[ab]
+        front *= twist[2 % p]  # (u/c) = (2/c)(k/c)
+        pairs *= np.array(twist)[ks % p]
+    pairs *= wdist[squares]
+    return complex(front * float(pairs.sum()))  # pairwise: a BLAS dot lost ~3 digits at 5^9
 
 
 def F_closed(
@@ -378,13 +380,11 @@ def F_closed(
 ) -> complex:
     """Closed form of F(p^r * l) for unit-coordinate l and 0 <= r <= m - 2.
 
-    Evaluates eps^n * p^(n(m+r)/2) * (lam_1...lam_n / p^(m-r)) times the
-    twisted unit sum over h of (h/p^(m-r))^n e(-A/h - lam_{n+1} h), the
-    closed Kloosterman (n even) or Salie (n odd) sum at A = (1/4) * sum of
-    l_j^2 / lam_j; both factors come from ``dual_kernel_level``.
+    F(p^r l) = eps^n p^(n(m+r)/2) (lam_1...lam_n / c) K(-A/4, -lam_{n+1}, c) at
+    c = p^(m-r) and A = sum of l_j^2 / lam_j, K the closed Kloosterman (n even)
+    or Salie (n odd) sum: one root pair, no table.
     """
-    p, m = modulus.p, modulus.m
-    n = form.n
+    p, m, n = modulus.p, modulus.m, form.n
     if len(l) != n:
         raise ValidationError("frequency vector length must match the form")
     if not 0 <= r <= m - 2:
@@ -393,6 +393,7 @@ def F_closed(
     if any(lj % p == 0 for lj in l):
         raise ValidationError("all l_j must be units mod p")
     c = p ** (m - r)
-    front, table = dual_kernel_level(form, modulus, r)
     big_a = sum(invmod(lam % c, c) * lj * lj for lj, lam in zip(l, form.lambdas)) % c
-    return complex(front * table[big_a])
+    kernel = _closed_kloosterman_salie(-big_a * invmod(4, c), -form.inhomogeneous_term,
+                                       _prime_power(p, m - r), twisted=n % 2 == 1)
+    return _dual_front(form, p, m, r) * kernel.to_complex()

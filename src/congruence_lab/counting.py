@@ -366,7 +366,11 @@ def _main_term(
     """T0 = density * fhat(0)^n * N^n / q, the density taken mod p under the
     mode's side condition (see count_weighted_spectral for why mod p suffices)."""
     density = mod_p_density(form, modulus.p, units_only=mode == UNIT_COORDS).as_rational
-    return float(density) * fourier_at_zero(w) ** form.n * float(N) ** form.n / modulus.q
+    try:
+        volume = float(N) ** form.n
+    except OverflowError:
+        raise ValidationError(f"N^n = {N}^{form.n} is beyond the float range") from None
+    return float(density) * fourier_at_zero(w) ** form.n * volume / modulus.q
 
 
 def _cyclic_convolution(factors, q: int) -> np.ndarray:
@@ -561,7 +565,8 @@ def count_weighted_spectral(
     kernel applies, and at p^(m-1) * t, where the kernel depends only on
     t mod p (see _top_frequency_block).
     Frequencies p^r * l are grouped by the value of the dual quadratic form
-    mod p^(m-r), so the kernel is evaluated once per residue class.
+    mod c = p^(m-r), and each level is one real gather over the units below
+    c/2 (see dual_kernel_level), so imag_residual is 0.
     """
     q, p, m = modulus.q, modulus.p, modulus.m
     n = form.n
@@ -601,16 +606,14 @@ def count_weighted_spectral(
         if len(vs) == 0:
             continue
         inverses = [invmod(lam % c, c) for lam in form.lambdas]
-        charge(n * len(vs) + _fft_cost(_convolution_transforms(inverses, c), c), budget_val,
+        # the axis, the transforms, and the gather's at most 16 array passes over the units below c/2
+        charge(n * len(vs) + _fft_cost(_convolution_transforms(inverses, c), c) + 8 * c, budget_val,
                "spectral frequency sum")
-        # the kernel table mod c and its dot with wdist: ~20 array passes over the residues
-        charge(20 * c, budget_val, "dual kernel level")
         axis_points += n * len(vs)
         fw = 2.0 * weight_fourier_array(w, (p**r) * vs * N / q)  # +-v folded
         wdist = _cyclic_convolution(_residue_histograms(inverses, (vs * vs) % c, fw, c), c)
-        front, table = dual_kernel_level(form, modulus, r)
         kernel_evals += c
-        total += front * complex((wdist * table).sum())
+        total += dual_kernel_level(form, modulus, r, wdist)
 
     U = total * float(N) ** n / float(q) ** (n + 1)
     T = T0 + U.real

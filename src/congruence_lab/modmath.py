@@ -47,10 +47,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
+def _small_prime(p: int) -> bool:
+    """is_prime for p below MAX_PRIME, cached: a scan validates its p once per row."""
+    return is_prime(p)
+
+
 def require_odd_prime(p: int) -> None:
     """Raise ValidationError unless p is an odd prime below MAX_PRIME (2^20):
     tables of length p stay small and trial division stays fast."""
-    if p >= MAX_PRIME or p < 3 or p % 2 == 0 or not is_prime(p):
+    if p >= MAX_PRIME or p < 3 or p % 2 == 0 or not _small_prime(p):
         raise ValidationError(f"p={p} must be an odd prime below 2^20")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -95,6 +96,9 @@ def tau_n(
     deltas = dual.deltas
     if k < sum(deltas):
         return 0.0
+    # p^r N / q scales every weight argument, so p^r has to be a float; 3^1024 is not
+    if r >= 1024 or p**r > sys.float_info.max:
+        raise ValidationError(f"r={r} puts p^r beyond the float range")
     # every coordinate has Delta_j v^2 <= k, so v <= isqrt(k // min Delta)
     v_max = math.isqrt(k // min(deltas))
     charge(v_max + 1, budget_val, "tau weight table")

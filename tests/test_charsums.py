@@ -34,6 +34,7 @@ from congruence_lab.modmath import (
     epsilon_c,
     invmod,
     jacobi_symbol,
+    prime_tables,
     sqrt_classes_mod_prime_power,
     valuation,
 )
@@ -319,19 +320,82 @@ def test_closed_forms_match_bruteforce_random(args):
         assert abs(closed_fn(a, b, mod).to_complex() - brute_fn(a, b, mod.q)) < 1e-9 * scale
 
 
+def _dual_kernel_table_oracle(form, modulus, r):
+    """(front, table) with F(p^r l) = front * table[A] at c = p^(m-r), A the
+    dual value of l: the whole length-c kernel table, one np.add.at pass of
+    the twisted root terms over the units u mod c, as the spectral count once
+    built it."""
+    p, m, n = modulus.p, modulus.m, form.n
+    c = p ** (m - r)
+    prod_lam = 1
+    for lam in form.lambdas:
+        prod_lam = (prod_lam * lam) % c
+    eps = epsilon_c(c)
+    front = eps**n * float(p) ** (n * (m + r) / 2.0) * jacobi_symbol(prod_lam, c)
+    us = np.arange(c, dtype=np.int64)
+    us = us[us % p != 0]
+    root_terms = np.exp(1j * (TWO_PI * ((2 * us) % c) / c))
+    lam_next = form.inhomogeneous_term % c
+    scale = eps * math.sqrt(c)
+    if n % 2 == 0:
+        root_terms *= prime_tables(p).legendre[us % p] ** (m - r)  # (u/c) = (u/p)^(m-r)
+    else:
+        scale *= jacobi_symbol(-lam_next, c)
+    root_sums = np.zeros(c, dtype=np.complex128)
+    np.add.at(root_sums, (us * us) % c, root_terms)
+    ab = (np.arange(c, dtype=np.int64) * (lam_next * invmod(4, c) % c)) % c
+    return front, scale * root_sums[ab]
+
+
 @pytest.mark.parametrize("c", [9, 27, 81, 25, 125, 49, 343])
 @pytest.mark.parametrize("lams, lam_next", [((1, 2), 2), ((2, 1, 4), 11)])
 def test_dual_kernel_table_matches_closed_forms(c, lams, lam_next):
+    """The level sum against the table of closed kernels over A mod c."""
     p = next(q for q in (3, 5, 7) if c % q == 0)
     s = round(math.log(c, p))
     form = DiagonalForm(lams, lam_next)
-    table = dual_kernel_level(form, PrimePowerModulus(p, s + 1), 1)[1]
+    mod = PrimePowerModulus(p, s + 1)
+    front = _dual_kernel_table_oracle(form, mod, 1)[0]
+    wdist = np.random.default_rng(c + len(lams)).uniform(-1.0, 1.0, c)
     closed_fn = kloosterman_closed if form.n % 2 == 0 else salie_closed
     sub = PrimePowerModulus(p, s)
     inv4 = pow(4, -1, c)
-    want = [closed_fn(-A * inv4, -lam_next, sub).to_complex() for A in range(c)]
-    assert len(table) == c
-    assert np.abs(table - np.array(want)).max() <= 1e-12 * math.sqrt(c)
+    want = sum(wdist[A] * front * closed_fn(-A * inv4, -lam_next, sub).to_complex() for A in range(c))
+    got = dual_kernel_level(form, mod, 1, wdist)
+    assert abs(got - want) <= 1e-12 * math.sqrt(c) * np.abs(wdist).sum() * abs(front)
+
+
+@st.composite
+def _dual_kernel_args(draw):
+    """(form, modulus, r, l): p in {3, 5, 7, 11, 13}, n = 1..7, p^m <= 3^7, any
+    allowed level r and unit coefficients and frequencies."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    m = draw(st.integers(2, int(math.log(3**7, p) + 1e-9)))
+    n = draw(st.integers(1, 7))
+    unit = st.integers(-3 * p**m, 3 * p**m).filter(lambda x: x % p != 0)
+    form = DiagonalForm(tuple(draw(unit) for _ in range(n)), draw(unit))
+    l = tuple(draw(unit) for _ in range(n))
+    return form, PrimePowerModulus(p, m), draw(st.integers(0, m - 2)), l
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dual_kernel_args())
+def test_F_closed_equals_the_table_oracle(args):
+    form, mod, r, l = args
+    front, table = _dual_kernel_table_oracle(form, mod, r)
+    c = mod.p ** (mod.m - r)
+    big_a = sum(invmod(lam % c, c) * lj * lj for lj, lam in zip(l, form.lambdas)) % c
+    assert F_closed(r, l, form, mod) == complex(front * table[big_a])
+
+
+def test_F_closed_allocates_nothing_of_length_c(traced_peak):
+    form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
+    mod = PrimePowerModulus(5, 8)
+    l = (1, 2, 3, 4, 1, 2)
+    want = F_closed(0, l, form, mod)  # warms the root and modulus caches
+    got, mib = traced_peak(F_closed, 0, l, form, mod)
+    assert got == want
+    assert mib < 0.5
 
 
 # Uncached closed forms as they stood before the per-(a, q) caches: the

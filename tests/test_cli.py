@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +165,7 @@ PINNED_README_SHA256 = {
     "count --mode hom --lambda 1 1 1 1 --p 3 --m 5 --theta 0.6":
         "f7baab43fa0c5c4dccef89779d6f5bc94a4cb7231309ceb4cfedc516c76eca5f",
     "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --method spectral":
-        "31ec494d2558a6697a45310e96a1650c24b5a1fa8f4c2cd35e32876a7a25c0d0",
+        "b3c0a39da11c1892e9e915ec41d32509c19f931378d5e94d72dec769a0530eb0",
     "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..6 --theta 0.6":
         "0b0df1df539866f58a9ed139aa60afa706836efc95bd08f42b1284c37401acba",
     "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":
@@ -204,6 +205,22 @@ def test_exit_codes():
     assert run_cli(["count", "--mode", "inhom", "--lambda", "1", "1", "2", "--p", "5",
                     "--m", "2", "--N", "25", "--budget", "10"]).returncode == 3
     assert run_cli(["nonsense-verb"]).returncode == 2
+
+
+def test_spectral_count_refuses_N_to_the_n_beyond_the_float_range():
+    code, out, err = run_main(INHOM_COUNT + ["--N", "1e300", "--method", "spectral"])
+    assert (code, out) == (2, "")
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("r", ["1000", "10000000"])
+def test_tau_refuses_a_level_r_beyond_the_float_range_at_once(r):
+    start = time.perf_counter()
+    code, out, err = run_main(["tau", "2", "--deltas", "1", "1", "--p", "3", "--m", "5",
+                               "--N", "10", "--r", r])
+    assert (code, out) == (2, "")
+    assert "float range" in err
+    assert time.perf_counter() - start < 0.5  # p^r is never built
 
 
 @pytest.mark.parametrize("flags", [["--weight", "bump", "--radius", "inf"], ["--sigma", "nan"]])

@@ -282,6 +282,18 @@ def test_spectral_is_exactly_zero_without_unit_solutions_mod_p(lams, lnext, p, m
     assert rs.cost["imag_residual"] == 0.0
 
 
+@pytest.mark.parametrize("lams, lnext, p, m", [
+    ((1, 1), 2, 3, 5),  # n even, (-1/c) = -1 at odd levels: the 2i sin pairs
+    ((1, 1, 1, 1, 1, 1), 2, 5, 4),  # n even, (-1/c) = 1
+    ((1, 2, 3), 1, 7, 3),  # n odd: Salie levels
+])
+def test_spectral_levels_are_real_so_imag_residual_is_zero(lams, lnext, p, m):
+    mod = PrimePowerModulus(p, m)
+    rep = count_weighted_spectral(DiagonalForm(lams, lnext), mod, mod.q**0.55, bump_pair_weight())
+    assert rep.cost["kernel_evals"] > 0
+    assert rep.cost["imag_residual"] == 0.0
+
+
 def test_spectral_requires_unit_inhomogeneous_term():
     g = gaussian_weight()
     with pytest.raises(Exception):
@@ -321,10 +333,12 @@ def test_histogram_count_reports_the_transforms_that_run(lambdas, mode, transfor
 def test_spectral_count_charges_the_dual_kernel_per_level():
     form = DiagonalForm((1, 1, 1, 1, 1, 1), 2)
     mod = PrimePowerModulus(5, 3)
-    kernel = 20 * mod.q  # the level r = 0 table mod 5^3, above its two transforms
-    with pytest.raises(BudgetExceeded, match="dual kernel level"):
-        count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=kernel - 1)
-    rep = count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=kernel)
+    # the level r = 0 mod 5^3: 1948 for its axis and two transforms, plus 8 * 125
+    # for the gather's 16 passes over the units below c/2
+    level = 1948 + 8 * mod.q
+    with pytest.raises(BudgetExceeded, match="spectral frequency sum"):
+        count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=level - 1)
+    rep = count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=level)
     assert rep.T == count_weighted_spectral(form, mod, 10.0, gaussian_weight()).T
 
 

@@ -15,7 +15,7 @@ from congruence_lab.modmath import (
     jacobi_symbol,
     sqrt_classes_mod_prime_power,
 )
-from congruence_lab import sqrt_expsums
+from congruence_lab import modmath, sqrt_expsums
 from congruence_lab.sqrt_expsums import (
     SCAN_CSV_COLUMNS,
     BoundScanRow,
@@ -175,6 +175,16 @@ def test_refused_scan_stops_drawing_at_the_row_that_crosses_the_budget():
     total = sum(row["K"] // row["c"] + 1 for row in drawn)
     assert budget - (k_cap + 1) < total <= budget
     assert len(drawn) < 9 * 10_000
+
+
+def test_scan_runs_trial_division_once_not_per_row(monkeypatch):
+    calls = []
+    real_is_prime = modmath.is_prime
+    monkeypatch.setattr(modmath, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
+    modmath._small_prime.cache_clear()
+    rows = bound_scan(1_000_003, range(2, 4), 50, seed=1, k_cap=10)
+    assert len(rows) == 100
+    assert calls == [1_000_003]
 
 
 def test_scan_rows_respect_bound_shape():

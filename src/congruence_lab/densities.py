@@ -1,9 +1,10 @@
 """Solution densities of diagonal quadratic congruences.
 
-Counts solutions of lam_1 x_1^2 + ... + lam_n x_n^2 = lam_{n+1} mod p^m
-under unit-coordinate or not-all-zero side conditions, exactly, via
-per-coordinate square-value histograms and exact cyclic convolution.
-Densities are exact rationals end to end.
+Counts solutions of lam_1 x_1^2 + ... + lam_n x_n^2 = lam_{n+1} exactly,
+under unit-coordinate or not-all-zero side conditions: mod p by the closed
+Gauss-sum count (density A/B, the ternary constant and every main term),
+mod p^m (count_B_m) by per-coordinate square-value histograms and exact
+cyclic convolution.  Densities are exact rationals end to end.
 """
 
 from __future__ import annotations
@@ -131,13 +132,35 @@ def _convolved_count_cost(n: int, q: int, total: int) -> int:
     return cost
 
 
+def _count_mod_p(lambdas: tuple[int, ...], target: int, p: int, units_only: bool) -> int:
+    """Solutions x mod p of sum lam_j x_j^2 = target, every lam_j a unit: unit
+    coordinates, or (units_only False) every vector but the zero one.
+
+    The Gauss-sum evaluation (Lidl & Niederreiter, Finite Fields, Thms
+    6.26-6.27): with chi = (./p), g^2 = chi(-1) p, e_k the elementary symmetric
+    polynomials of the chi(lam_j) and d = [units_only],
+    p N = (p - d)^n + sum_k (-d)^(n-k) e_k G_k, where G_k = g^k (p [p | target] - 1)
+    for even k and G_k = chi(-target) g^(k+1) for odd k.  O(n^2) exact integer
+    steps, nothing of length p.
+    """
+    n, d, g2 = len(lambdas), int(units_only), jacobi_symbol(-1, p) * p
+    hit = target % p == 0
+    even, odd = p * hit - 1, jacobi_symbol(-target, p) * g2  # G_k / g2^(k // 2) by parity of k
+    e = [1]
+    for lam in lambdas:
+        sign = jacobi_symbol(lam, p)
+        e = [hi + sign * lo for hi, lo in zip(e + [0], [0] + e)]
+    total = (p - d) ** n
+    for k, ek in enumerate(e):
+        total += (-d) ** (n - k) * ek * g2 ** (k // 2) * (odd if k % 2 else even)
+    return total // p - (hit and not units_only)
+
+
 def mod_p_density(form: DiagonalForm, p: int, units_only: bool) -> DensityValue:
     """Solution count of Q = lam_{n+1} mod p over p^(n-1): unit coordinates,
-    or (units_only False) every vector but the zero one."""
-    target = form.inhomogeneous_term % p
-    count = _convolved_count(form.lambdas, target, p, p, units_only)
-    if not units_only and target == 0:
-        count -= 1
+    or (units_only False) every vector but the zero one.  The count is the
+    closed Gauss-sum form ``_count_mod_p``; every lam_j must be a unit mod p."""
+    count = _count_mod_p(form.lambdas, form.inhomogeneous_term, p, units_only)
     return DensityValue(count, p ** (form.n - 1))
 
 
@@ -161,23 +184,19 @@ def density_A(form: DiagonalForm, p: int) -> DensityValue:
 
 
 def ternary_C_p(l1: int, l2: int, l3: int, p: int) -> Fraction:
-    """(p - s_p)(p - 1)/p^2 with s_p = 2 + sum of (-li*lj / p) over pairs."""
+    """Unit-coordinate solutions of l1 x^2 + l2 y^2 + l3 z^2 = 0 mod p over p^2,
+    which is (p - s_p)(p - 1)/p^2 with s_p = 2 + sum of (-li*lj / p) over pairs."""
     require_odd_prime(p)
     if (l1 * l2 * l3) % p == 0:
         raise CoprimalityViolated("ternary coefficients must be units mod p")
-    s_p = (
-        2
-        + jacobi_symbol(-l1 * l2, p)
-        + jacobi_symbol(-l1 * l3, p)
-        + jacobi_symbol(-l2 * l3, p)
-    )
-    return Fraction((p - s_p) * (p - 1), p * p)
+    return Fraction(_count_mod_p((l1, l2, l3), 0, p, True), p * p)
 
 
 def count_B_m(form: DiagonalForm, modulus: PrimePowerModulus, budget: int | None = None) -> int:
     """Exact number of unit-coordinate solutions of Q = 0 mod p^m.
 
-    Histogram convolution mod q = p^m instead of q^n enumeration: two exact
+    Histogram convolution mod q = p^m instead of q^n enumeration, independent
+    of the closed mod-p count (mod p it is that count's oracle): two exact
     half-chains of about n/2 Kronecker products each, on operands of about
     q * (n/2) * log2(q) bits, which Karatsuba multiplication takes in
     O(n * (n q log q)^log2(3)) digit operations, then one length-q dot product.

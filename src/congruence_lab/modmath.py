@@ -1,7 +1,8 @@
 """Exact modular arithmetic for odd prime powers.
 
 Primitives for residues (powers, inverses, Jacobi symbols, additive
-characters) together with square roots modulo p and their lifts to p^m.
+characters) together with square roots modulo p, read from one cached table
+of canonical roots, and their lifts to p^m.
 Modular logic is exact integer arithmetic throughout; complex numbers
 appear only at the character-evaluation boundary.
 """
@@ -166,52 +167,12 @@ def unit_root(t: int, q: int) -> complex:
     return cmath.exp(complex(0.0, TWO_PI * t / q))
 
 
-def _sqrt_mod_prime_int(a: int, p: int) -> int | None:
-    """Canonical square root of a mod p in [0, p/2], or None for non-residues.
-
-    Tonelli-Shanks, with the p = 3 mod 4 shortcut.  p must be an odd prime.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        w = pow(a, (p + 1) // 4, p)
-        return min(w, p - w)
-    # write p - 1 = d * 2^e with d odd
-    d, e = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    cc = pow(z, d, p)
-    w = pow(a, (d + 1) // 2, p)
-    t = pow(a, d, p)
-    mm = e
-    while t != 1:
-        t2i = t
-        i = 0
-        for i in range(1, mm):
-            t2i = t2i * t2i % p
-            if t2i == 1:
-                break
-        bb = pow(cc, 1 << (mm - i - 1), p)
-        w = w * bb % p
-        cc = bb * bb % p
-        t = t * cc % p
-        mm = i
-    return min(w, p - w)
-
-
 def sqrt_mod_prime(a: Residue) -> Residue | None:
-    """Square root of a mod p (odd prime), canonical root in [0, p/2]."""
-    w = _sqrt_mod_prime_int(a.value, a.modulus)
-    if w is None:
-        return None
-    return Residue(w, a.modulus)
+    """Square root of a mod p, the canonical root in [0, p/2], or None for a
+    non-residue.  It reads ``prime_tables(p).root``, so p is validated as an
+    odd prime below 2^20, as ``PrimePowerModulus`` validates it."""
+    w = int(prime_tables(a.modulus).root[a.value])
+    return None if w < 0 else Residue(w, a.modulus)
 
 
 def _lift_sqrt(w: int, r: int, p: int, t: int, s: int) -> int:
@@ -418,8 +379,8 @@ def sqrt_classes_mod_prime_power(r: int, modulus: PrimePowerModulus) -> RootClas
     t = e // 2
     r1 = r0 // p**e
     s1 = m - e
-    w0 = _sqrt_mod_prime_int(r1, p)
-    if w0 is None:
+    w0 = int(prime_tables(p).root[r1 % p])
+    if w0 < 0:
         return RootClassSet((), q)
     w = _lift_sqrt(w0, r1, p, 1, s1) if s1 > 1 else w0
     step = p ** (m - t)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -340,6 +341,17 @@ def test_spectral_count_charges_the_dual_kernel_per_level():
         count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=level - 1)
     rep = count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=level)
     assert rep.T == count_weighted_spectral(form, mod, 10.0, gaussian_weight()).T
+
+
+def test_spectral_count_at_a_large_prime_refuses_within_a_second():
+    # the main term costs O(n^2) integer steps at any p, so the budget refuses
+    # the frequency sum before any work of length p
+    mod = PrimePowerModulus(100_003, 2)
+    N = float(math.ceil(mod.q**0.55))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="spectral frequency sum"):
+        count_weighted_spectral(DiagonalForm((1, 1, 1, 1, 1, 1), 2), mod, N, gaussian_weight())
+    assert time.perf_counter() - start < 1.0
 
 
 def test_direct_count_takes_its_bump_weights_from_one_grid_table(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -11,6 +12,7 @@ from congruence_lab.densities import (
     DiagonalForm,
     _convolved_count,
     _convolved_count_cost,
+    _count_mod_p,
     count_B_m,
     cyclic_convolution_exact,
     density_A,
@@ -202,6 +204,33 @@ def _convolved_count_args(draw):
 @given(_convolved_count_args())
 def test_half_chain_count_equals_full_chain(args):
     assert _convolved_count(*args) == full_chain_count(*args)
+
+
+@st.composite
+def _mod_p_count_args(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    unit = st.integers(-3 * p, 3 * p).filter(lambda x: x % p != 0)
+    lambdas = tuple(draw(st.lists(unit, min_size=1, max_size=7)))
+    return lambdas, draw(st.integers(-4 * p, 4 * p)), p, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mod_p_count_args())
+def test_closed_mod_p_count_equals_convolution(args):
+    lambdas, target, p, units_only = args
+    zero_vector = not units_only and target % p == 0
+    want = _convolved_count(lambdas, target, p, p, units_only) - zero_vector
+    assert _count_mod_p(lambdas, target, p, units_only) == want
+
+
+def test_density_A_at_the_largest_prime_below_the_bound():
+    # for odd n the quadric sum x_j^2 = 0 has exactly p^(n-1) solutions mod p,
+    # the zero vector among them
+    p = 1_048_573
+    start = time.perf_counter()
+    dv = density_A(DiagonalForm((1, 1, 1, 1, 1)), p)
+    assert time.perf_counter() - start < 0.5
+    assert (dv.numerator, dv.denominator) == (p**4 - 1, p**4)
 
 
 def test_count_B_m_charges_its_half_chains():

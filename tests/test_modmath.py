@@ -351,7 +351,7 @@ def test_array_lift_on_both_sides_of_the_int64_limit(p, s):
 def test_prime_tables_match_scalar_primitives(p):
     tables = prime_tables(p)
     assert tables.legendre.tolist() == [jacobi_symbol(x, p) for x in range(p)]
-    want_root = [-1 if sqrt_mod_prime(Residue(x, p)) is None else sqrt_mod_prime(Residue(x, p)).value for x in range(p)]
+    want_root = [min(sqrt_oracle(x, p), default=-1) for x in range(p)]
     assert tables.root.tolist() == want_root
     assert tables.inverse.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
     assert not tables.root.flags.writeable

@@ -265,37 +265,41 @@ def _inverse_sqrt_seed(p: int) -> tuple[int, np.ndarray]:
     return t0, table
 
 
-def lift_sqrt_array(z: np.ndarray, w: np.ndarray, p: int, s: int) -> np.ndarray:
-    """Roots u mod p^s with u^2 = z and u = w mod p, elementwise.
+def lift_sqrt_array(z: np.ndarray, w: np.ndarray | None, p: int, s: int) -> np.ndarray:
+    """Roots u mod p^s with u^2 = z, elementwise: the one with u = w mod p,
+    or either one where ``w`` is None.
 
-    ``z`` holds units mod p^s that are squares mod p and ``w`` their roots
-    mod p.  Newton's inverse-square-root step y <- y (3 - z y^2) / 2 doubles
-    the precision of y = 1/sqrt(z), and u = z y.  For p^2 <= LIFT_SEED_LIMIT
-    y starts mod p^t0 from the cached ``_inverse_sqrt_seed`` table entry of
-    z, negated unless y = w^{-1} mod p (for odd p a unit square mod p is a
-    square mod every p^t, so the entry exists), and no step runs for
-    s <= t0; for larger p y starts from w^{-1} mod p.  The arithmetic is
-    int64 while p^(2s) < 2^63, reducing after every product; above that each
-    element goes through the scalar ``_lift_sqrt`` and the result holds
-    Python ints.
+    ``z`` holds units in [0, p^s) that are squares mod p and ``w`` their
+    roots in [0, p).  Newton's inverse-square-root step
+    y <- y (3 - z y^2) / 2 doubles the precision of y = 1/sqrt(z), and
+    u = z y.  For p^2 <= LIFT_SEED_LIMIT y starts mod p^t0 from the cached
+    ``_inverse_sqrt_seed`` table entry of z, negated unless y = w^{-1} mod p
+    (for odd p a unit square mod p is a square mod every p^t, so the entry
+    exists), and no step runs for s <= t0; for larger p y starts from
+    w^{-1} mod p, w the canonical root when none is given.  The arithmetic
+    is int64 while p^(2s) < 2^63, reducing after every product and halving
+    mod the odd p^t by a shift; above that each element goes through the
+    scalar ``_lift_sqrt`` and the result holds Python ints.
     """
     q = p**s
+    if w is None and (residue_dtype(q) is object or p * p > LIFT_SEED_LIMIT):
+        w = prime_tables(p).root[(z % p).astype(np.int64)]
     if residue_dtype(q) is object:
         roots = (_lift_sqrt(int(wi), int(zi), p, 1, s) for zi, wi in zip(z, w))
         return np.fromiter(roots, dtype=object, count=len(z))
-    z = np.asarray(z, dtype=np.int64) % q
-    w = np.asarray(w, dtype=np.int64) % p
+    z = np.asarray(z, dtype=np.int64)
     if p * p <= LIFT_SEED_LIMIT:
         t, table = _inverse_sqrt_seed(p)
         y = table[z % p**t]
-        y = np.where(y * w % p == 1, y, p**t - y)
+        if w is not None:
+            y = np.where(y * w % p == 1, y, p**t - y)
     else:
         t, y = 1, prime_tables(p).inverse[w]
     while t < s:
         t = min(2 * t, s)
         m = p**t
-        h = z * (y * y % m) % m
-        y = y * ((3 - h) % m) % m * ((m + 1) // 2) % m
+        x = y * (3 - z * (y * y % m) % m) % m
+        y = (x + (x & 1) * m) >> 1  # x / 2 mod m
     return z * y % q
 
 

@@ -167,8 +167,9 @@ class _TableCache:
 
 
 # A table mod q takes 16 q bytes: every table for q <= 100 (~80 KB per form
-# and prime) stays cached, and a singular_series scan to any q_max leaves at
-# most this many bytes of its last tables behind.
+# and prime, ~80 KB of square sums per prime, ~80 KB of unit roots) stays
+# cached, and a singular_series scan to any q_max leaves at most this many
+# bytes of its last tables behind.
 _PHASE_TABLE_BYTES = 8 << 20
 _PHASE_TABLES = _TableCache(_PHASE_TABLE_BYTES)
 
@@ -181,15 +182,25 @@ def _coefficient_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndar
 
 
 def _build_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
-    xs = np.arange(p * q, dtype=np.int64)
-    xs = xs[xs % p != 0] % q
-    # S(b) = sum_r #{x : x^2 = r mod q} e_q(b r): one inverse DFT for every b
-    sums = q * np.fft.ifft(np.bincount(xs * xs % q, minlength=q))
+    sums = _PHASE_TABLES.get((q, p), _square_sums)
     a = np.arange(q, dtype=np.int64)
     table = (np.gcd(a, q) == 1).astype(np.complex128)
     for d in deltas:
         table *= sums[a * (d % q) % q]
     return table
+
+
+def _square_sums(q: int, p: int) -> np.ndarray:
+    """S(b) for every b mod q, cached per (q, p) for every form: S(b) =
+    sum_r #{x : x^2 = r mod q} e_q(b r), one inverse DFT of the histogram."""
+    xs = np.arange(p * q, dtype=np.int64)
+    xs = xs[xs % p != 0] % q
+    return q * np.fft.ifft(np.bincount(xs * xs % q, minlength=q))
+
+
+def _unit_roots(q: int) -> np.ndarray:
+    """e_q(-m) for every m mod q, cached per q."""
+    return np.exp(-2j * np.pi * np.arange(q, dtype=np.int64) / q)
 
 
 def singular_coefficient(
@@ -235,7 +246,7 @@ def _series_cost(q_max: int, p: int, n: int) -> int:
 
 def _coefficient(q: int, k: int, deltas: tuple[int, ...], p: int) -> float:
     table = _coefficient_phase_table(q, p, deltas)
-    phases = np.exp(-2j * np.pi * (np.arange(q, dtype=np.int64) * (k % q) % q) / q)
+    phases = _PHASE_TABLES.get((q,), _unit_roots)[np.arange(q, dtype=np.int64) * (k % q) % q]
     return float((table @ phases).real / (p * q) ** len(deltas))
 
 

@@ -9,11 +9,13 @@ import shlex
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruence_lab import sqrt_expsums
 from congruence_lab.cli import canonical_json, main
 
 
@@ -126,13 +128,14 @@ def test_expsum_scan_csv_and_determinism():
     assert header == "p,s,Lambda,a,b,c,K,mu,re,im,abs,normalized"
 
 
-# SHA-256 of the stdout of the scalar per-k root-sum loop that the batched
-# lift replaced: the README example, and p = 7 with rows of up to ~10^5 terms
+# SHA-256 of the stdout of the scalar per-k root-sum loop (one cos or sin per
+# root pair of an aggregate row, one exp per fixed-class root): the README
+# example, and p = 7 with rows of up to ~10^5 terms
 PINNED_SCAN_SHA256 = {
     "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":
-        "27f70aa9b393ae43c9d7d3a5e86fee098a0e47a94919beba44db62456d2a76d0",
+        "59068166ad4eb17f9f6c1ed5de9485ce2b47ea4c524379fc31f86b3d2f8943d2",
     "expsum-scan --p 7 --s-range 2..10 --trials 40 --seed 3 --format csv":
-        "0bcb7d66345fd286a450601e5e7c60248492e0bec787d62d76958ddd1c70b1e3",
+        "7f0ccc92870761c836e40071f394cb9f0aa04370e85940fd381c7f1fb7472ddd",
 }
 
 
@@ -141,6 +144,20 @@ def test_expsum_scan_bytes_are_pinned(command):
     code, out, err = run_main(command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_SHA256[command]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("expsum-scan --p 3 --s-range 2..10 --trials 100000 --seed 1",
+     "budget exceeded: bound scan needs ~1.00e+8 ops, budget is 100000000\n"),
+    ("expsum-scan --p 5 --s-range 3..3 --trials 1000000 --c-max 1000000 --k-cap 1000000 --budget 1000000",
+     "budget exceeded: bound scan needs ~1.00e+6 ops, budget is 1000000\n"),
+])
+def test_refused_scans_exit_3_before_building_a_row(command, message):
+    # ~10^6 rows are drawn before each crossing; none becomes a row object
+    with mock.patch.object(sqrt_expsums, "_params", wraps=sqrt_expsums._params) as params:
+        code, out, err = run_main(command.split())
+    assert (code, out, err) == (3, "", message)
+    assert params.call_count == 0
 
 
 def _readme_cli_lines():
@@ -169,7 +186,7 @@ PINNED_README_SHA256 = {
     "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..6 --theta 0.6":
         "0b0df1df539866f58a9ed139aa60afa706836efc95bd08f42b1284c37401acba",
     "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":
-        "27f70aa9b393ae43c9d7d3a5e86fee098a0e47a94919beba44db62456d2a76d0",
+        "59068166ad4eb17f9f6c1ed5de9485ce2b47ea4c524379fc31f86b3d2f8943d2",
     "tau 2 --deltas 1 1 --p 3 --m 5 --N 10":
         "2c49e591ec01f3d7feefcbb57256939cebb9762c64b595102d12734b02687afb",
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 50":

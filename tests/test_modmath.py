@@ -308,7 +308,8 @@ ODD_PRIMES_BELOW_50 = ODD_PRIMES_BELOW_30 + [31, 37, 41, 43, 47]
 
 
 def _check_array_lift(p, s, xs, flips):
-    """Lift z = x^2 from the root x or -x mod p; compare with the root classes."""
+    """Lift z = x^2 from the root x or -x mod p, and with no root given;
+    compare with the root classes."""
     q = p**s
     mod = PrimePowerModulus(p, s)
     z = [x * x % q for x in xs]
@@ -321,6 +322,11 @@ def _check_array_lift(p, s, xs, flips):
         u = int(u)
         assert u * u % q == zi and u % p == wi
         assert [r for r in sqrt_classes_mod_prime_power(zi, mod).members() if r % p == wi] == [u]
+    # without w, either root: the one in w's class or its negative
+    either = lift_sqrt_array(np.array(z, dtype=dtype), None, p, s)
+    assert either.dtype == got.dtype
+    for u, v in zip(either.tolist(), got.tolist()):
+        assert int(u) in (int(v), q - int(v))
 
 
 @st.composite

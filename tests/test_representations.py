@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ def test_phase_table_cache_stays_within_its_byte_bound():
     big = cache.max_bytes // 16 + 1
     table = cache.get((big, 3, dual.deltas), lambda q, p, deltas: np.zeros(q, dtype=complex))
     assert len(table) == big and list(cache.tables) == list(held)
+
+
+def test_series_share_square_sums_across_forms_and_unit_roots_across_k():
+    cache = representations._PHASE_TABLES
+    cache.tables.clear()
+    cache.nbytes = 0
+    numpy = representations.np
+    with mock.patch.object(numpy.fft, "ifft", wraps=numpy.fft.ifft) as ifft, \
+            mock.patch.object(numpy, "exp", wraps=numpy.exp) as exp:
+        for n in (4, 6):
+            for k in (1, 2, 3):
+                singular_series(k, DualForm((1,) * n), 5, 30)
+    # one square-sum DFT per q for both forms, one table of e_q(-m) per q for every k
+    assert ifft.call_count == 30
+    assert exp.call_count == 30
 
 
 def test_singular_series_consistency_n6():

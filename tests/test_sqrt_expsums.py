@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,21 @@ def test_degenerate_progression_one_term():
     assert abs(value) <= 2.0
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("Lambda", 6), ("a", 3), ("c", 0), ("K", 0), ("K", 28), ("mu", 2), ("mu", -1),
+])
+def test_window_checks_raise_the_row_check_message(field, bad):
+    # a window of valid rows mod 3^3 with one bad entry: the same message as that row alone
+    good = dict(p=3, s=3, Lambda=2, a=1, b=0, c=5, K=27, mu=0)
+    with pytest.raises(ValidationError) as row_error:
+        SqrtSumParams(**{**good, field: bad})
+    columns = {name: np.full(5, good[name], dtype=np.int64) for name in ("Lambda", "a", "c", "K", "mu")}
+    columns[field][3] = bad
+    with pytest.raises(ValidationError) as window_error:
+        sqrt_expsums._check_rows(3, 3, columns["Lambda"], columns["a"], columns["c"], columns["K"], columns["mu"])
+    assert str(window_error.value) == str(row_error.value)
+
+
 def test_param_validation():
     with pytest.raises(ValidationError):
         SqrtSumParams(p=3, s=1, Lambda=1, a=1, b=0, c=1, K=1)
@@ -152,6 +168,8 @@ def test_scan_determinism_and_csv():
     assert lines[0] == ",".join(SCAN_CSV_COLUMNS)
     assert len(lines) == len(rows1) + 1
     assert all(len(line.split(",")) == len(SCAN_CSV_COLUMNS) for line in lines)
+    # the exact zeros of the paired sums are positive zeros
+    assert "-0" not in {field for line in lines for field in line.split(",")}
 
 
 @pytest.mark.parametrize("kwargs, name", [({"c_max": 0}, "c_max"), ({"k_cap": 0}, "k_cap"), ({"k_cap": -5}, "k_cap")])
@@ -161,20 +179,23 @@ def test_scan_rejects_c_max_and_k_cap_below_one(kwargs, name):
 
 
 def test_refused_scan_stops_drawing_at_the_row_that_crosses_the_budget():
-    drawn = []
+    windows = []
+    check_rows = sqrt_expsums._check_rows
 
-    def counting_params(**fields):
-        drawn.append(fields)
-        return SqrtSumParams(**fields)
+    def recording_check(p, s, Lambda, fixed, c, K, mu):
+        windows.append((c, K))  # the rows of each window that fit, checked once
+        return check_rows(p, s, Lambda, fixed, c, K, mu)
 
     budget, k_cap = 10**5, 1000
-    with mock.patch.object(sqrt_expsums, "SqrtSumParams", counting_params):
+    with mock.patch.object(sqrt_expsums, "_check_rows", recording_check), \
+            mock.patch.object(sqrt_expsums, "_params", wraps=sqrt_expsums._params) as params:
         with pytest.raises(BudgetExceeded, match="bound scan"):
             bound_scan(3, range(2, 11), 10_000, seed=1, k_cap=k_cap, budget=budget)
+    assert params.call_count == 0  # no row object is built before the scan fits
     # each row adds K // c + 1 <= k_cap + 1, so the rows before the crossing one sum to within that of the budget
-    total = sum(row["K"] // row["c"] + 1 for row in drawn)
+    total = sum(int((K // c + 1).sum()) for c, K in windows)
     assert budget - (k_cap + 1) < total <= budget
-    assert len(drawn) < 9 * 10_000
+    assert sum(len(K) for _, K in windows) < 9 * 10_000
 
 
 def test_scan_runs_trial_division_once_not_per_row(monkeypatch):
@@ -219,7 +240,8 @@ def _legendre_tables(p):
 
 
 def scalar_root_sum(params):
-    """Per-k Newton inverse-square-root lift, one cmath.exp per root."""
+    """Per-k Newton inverse-square-root lift: one cmath.exp per root of a
+    fixed class, one math.cos or math.sin per root pair of the aggregate."""
     p, s, c, K, mu = params.p, params.s, params.c, params.K, params.mu
     q = p**s
     lam = params.Lambda % q
@@ -239,7 +261,10 @@ def scalar_root_sum(params):
         target_sq = a_res * a_res % p
         y_start = inv_tab[a_res]
     odd_twist = mu == 1 and s % 2 == 1
+    # e(u/q) + e(-u/q) = 2 cos, and with the twist (-u/p) = (-1/p)(u/p) the pair is 2i sin when (-1/p) = -1
+    imag_pairs = odd_twist and p % 4 == 3
     total = 0.0 + 0.0j
+    re = im = 0.0
     two_pi_over_q = 2.0 * math.pi / q
     for k in range(k0, K + 1, c):
         if k % p == 0:
@@ -260,15 +285,25 @@ def scalar_root_sum(params):
         if restricted:
             total += cmath.exp(complex(0.0, two_pi_over_q * u))
         else:
-            term = cmath.exp(complex(0.0, two_pi_over_q * u))
-            other = cmath.exp(complex(0.0, two_pi_over_q * (q - u)))
-            if odd_twist:
-                total += leg[u % p] * term + leg[(q - u) % p] * other
+            t = min(u, q - u)
+            sign = leg[t % p] if odd_twist else 1
+            if imag_pairs:
+                im += sign * (2 * math.sin(two_pi_over_q * t))
             else:
-                total += term + other
-    if restricted and odd_twist:
-        total *= leg[params.a % p]
-    return total
+                re += sign * (2 * math.cos(two_pi_over_q * t))
+    if restricted:
+        return total * leg[params.a % p] if odd_twist else total
+    return complex(re, im)
+
+
+def term_count(params):
+    """Terms k = b mod c in [1, K], before keeping those with roots."""
+    return len(range(params.b % params.c or params.c, params.K + 1, params.c))
+
+
+def group_sums(rows):
+    """``_root_sums`` of rows sharing p and s, as ``bound_scan`` evaluates a group."""
+    return sqrt_expsums._root_sums(rows[0].p, rows[0].s, sqrt_expsums._columns(rows))
 
 
 def kept_term_count(params):
@@ -289,14 +324,14 @@ def _same_complex(got, want):
 
 
 @st.composite
-def _root_sum_params(draw):
+def _root_sum_params(draw, s_max=10, terms=3000):
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
-    s = draw(st.integers(2, 10))
+    s = draw(st.integers(2, s_max))
     q = p**s
     unit = st.integers(1, q - 1).filter(lambda x: x % p)
     c = draw(st.integers(1, 64))
-    # K from 1 (often below the first k = b mod c, an empty sum) up to ~3000 terms
-    K = draw(st.integers(1, min(q, 3000 * c)))
+    # K from 1 (often below the first k = b mod c, an empty sum) up to ~`terms` terms
+    K = draw(st.integers(1, min(q, terms * c)))
     return SqrtSumParams(
         p=p, s=s, Lambda=draw(unit), a=draw(st.none() | st.integers(1, p - 1)),
         b=draw(st.integers(0, c - 1)), c=c, K=K, mu=draw(st.integers(0, 1)),
@@ -346,10 +381,49 @@ def test_group_root_sums_equal_scalar_loop_exactly(rows, chunk):
     # 300-term chunks put many more row boundaries inside chunks and split groups of
     # more than 300 // p rows into blocks
     with mock.patch.object(sqrt_expsums, "CHUNK_TERMS", chunk):
-        sums = sqrt_expsums._root_sums(rows)
+        sums = group_sums(rows)
     assert len(sums) == len(rows)
     for got, params in zip(sums, rows):
         assert _same_complex(got, scalar_root_sum(params))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_root_sum_params(s_max=6, terms=300))
+def test_root_sum_near_root_class_oracle_with_exact_zeros(params):
+    got = sqrt_root_sum(params)
+    roots = kept_term_count(params) * (1 if params.a is not None else 2)
+    assert abs(got - oracle_sum(params)) <= 1e-12 * max(1, roots)
+    if params.a is None:
+        # a root pair sums to 2 cos, to (u/p) 2 cos, or to (u/p) 2i sin when (-1/p) = -1
+        if params.mu == 1 and params.s % 2 == 1 and params.p % 4 == 3:
+            assert got.real == 0.0
+        else:
+            assert got.imag == 0.0
+        assert all(math.copysign(1.0, part) == 1.0 for part in (got.real, got.imag) if part == 0.0)
+
+
+def test_one_real_trig_per_aggregate_term_one_complex_exp_per_fixed_term():
+    # a mixed group mod 7^5: untwisted, twisted (2i sin, as (-1/7) = -1) and fixed-class rows
+    rows = [
+        SqrtSumParams(p=7, s=5, Lambda=3, a=None, b=1, c=2, K=7**5, mu=0),
+        SqrtSumParams(p=7, s=5, Lambda=5, a=None, b=0, c=3, K=7**5, mu=1),
+        SqrtSumParams(p=7, s=5, Lambda=1, a=2, b=4, c=5, K=7**5, mu=0),
+        SqrtSumParams(p=7, s=5, Lambda=6, a=3, b=1, c=1, K=16_000, mu=1),
+    ]
+    numpy = sqrt_expsums.np
+    with mock.patch.object(numpy, "cos", wraps=numpy.cos) as cos, \
+            mock.patch.object(numpy, "sin", wraps=numpy.sin) as sin, \
+            mock.patch.object(numpy, "exp", wraps=numpy.exp) as exp:
+        sums = group_sums(rows)
+
+    def evaluated(fn):
+        return sum(numpy.size(call.args[0]) for call in fn.call_args_list)
+
+    assert evaluated(cos) + evaluated(sin) == sum(kept_term_count(ps) for ps in rows if ps.a is None)
+    assert evaluated(sin) == kept_term_count(rows[1])
+    assert evaluated(exp) == sum(kept_term_count(ps) for ps in rows if ps.a is not None)
+    assert all(numpy.iscomplexobj(call.args[0]) for call in exp.call_args_list)
+    assert all(_same_complex(got, scalar_root_sum(ps)) for got, ps in zip(sums, rows))
 
 
 def test_lift_sees_only_kept_terms_one_call_per_chunk():
@@ -360,7 +434,7 @@ def test_lift_sees_only_kept_terms_one_call_per_chunk():
         SqrtSumParams(p=5, s=8, Lambda=3, a=None, b=2, c=5, K=5 * chunk, mu=1),
         SqrtSumParams(p=5, s=8, Lambda=1, a=2, b=3, c=7, K=7 * chunk, mu=0),
     ]
-    assert sum(sqrt_expsums._term_count(ps) for ps in rows) == 3 * chunk
+    assert sum(term_count(ps) for ps in rows) == 3 * chunk
     lifted = []
     lift = sqrt_expsums.lift_sqrt_array
 
@@ -369,10 +443,11 @@ def test_lift_sees_only_kept_terms_one_call_per_chunk():
         return lift(z, w, p, s)
 
     with mock.patch.object(sqrt_expsums, "lift_sqrt_array", recording_lift):
-        sums = sqrt_expsums._root_sums(rows)
-    kept = sum(kept_term_count(ps) for ps in rows)
-    assert sum(lifted) == kept
-    assert len(lifted) == -(-kept // chunk)
+        sums = group_sums(rows)
+    # the fixed class and the aggregate rows (mu = 1 at even s is untwisted) run in chunks of their own
+    aggregate, fixed = kept_term_count(rows[0]) + kept_term_count(rows[1]), kept_term_count(rows[2])
+    assert sum(lifted) == aggregate + fixed
+    assert len(lifted) == -(-aggregate // chunk) - (-fixed // chunk)
     assert all(_same_complex(got, scalar_root_sum(ps)) for got, ps in zip(sums, rows))
 
 
@@ -380,6 +455,7 @@ def test_lift_sees_only_kept_terms_one_call_per_chunk():
 def test_scan_rows_equal_single_row_sums(p, s_values, k_cap):
     rows = bound_scan(p, s_values, 12, seed=7, k_cap=k_cap)
     for row in rows:
+        assert SqrtSumParams(**vars(row.params)) == row.params  # the checks hold for rows built without them
         assert _same_complex(row.value, sqrt_root_sum(row.params))
 
 
@@ -392,7 +468,7 @@ def test_scan_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(sqrt_expsums._term_count(r.params) for r in rows) > 5 * sqrt_expsums.CHUNK_TERMS
+    assert sum(term_count(r.params) for r in rows) > 5 * sqrt_expsums.CHUNK_TERMS
     assert peak < 3 * 2**20
 
 
@@ -405,8 +481,8 @@ def test_long_p_tables_hold_min_p_n_cells_per_row():
     with mock.patch.object(sqrt_expsums.np, "argsort", wraps=sqrt_expsums.np.argsort) as argsort:
         rows = bound_scan(p, [3], 100, seed=3, k_cap=1000)
     cells = sum(call.args[0].size for call in argsort.call_args_list)
-    assert cells <= sum(min(p, sqrt_expsums._term_count(r.params)) for r in rows) + p
-    assert max(sqrt_expsums._term_count(r.params) for r in rows) <= 1000
+    assert cells <= sum(min(p, term_count(r.params)) for r in rows) + p
+    assert max(term_count(r.params) for r in rows) <= 1000
     # the scalar loop's length-p tables, built once for the rows checked
     with mock.patch(f"{__name__}._legendre_tables", functools.lru_cache(_legendre_tables)):
         for row in rows[:: len(rows) // 4]:
@@ -455,5 +531,8 @@ def test_windowed_scan_rows_equal_scalar_lcg_loop(p, s_values, trials, seed, c_m
     # q = p^s from 9 past 2^800, c_max and c * k_cap past the 2^32 range of a draw;
     # 16-draw windows split the rows over many windows, and some hold no whole row
     with mock.patch.object(sqrt_expsums, "SCAN_WINDOW", window):
-        got = sqrt_expsums._scan_params(p, s_values, trials, seed, c_max, k_cap, 10**30)
+        groups = sqrt_expsums._scan_params(p, s_values, trials, seed, c_max, k_cap, 10**30)
+    got = [ps for s, columns in groups for ps in sqrt_expsums._params(p, s, columns)]
     assert got == scan_params_loop_oracle(p, s_values, trials, seed, c_max, k_cap)
+    # rows built without the checks pass them when built with them
+    assert all(SqrtSumParams(**vars(ps)) == ps for ps in got)

@@ -4,12 +4,17 @@ Each sum has a brute-force evaluator (the oracle: the literal finite sum)
 and a closed form.  The closed forms factor out gcds, detect the vanishing
 patterns, and express the remainder as sign * eps * sqrt(c) * root of unity,
 so the two routes can be compared exactly in tests.
+
+A modulus has few distinct closed values (about 1.1 q Gauss sums), so for
+moduli up to 2048 the closed forms hand out one shared tuple per value, with
+its complex value computed once; see ``_share``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,6 +53,10 @@ class ExactCharSum(NamedTuple):
     phase_den: int = 1
 
     def to_complex(self) -> complex:
+        # a value the closed forms shared was evaluated once, by this body, in _share
+        shared = _shared_complex.get(id(self))
+        if shared is not None:
+            return shared[1]
         is_zero, factor, sign, eps, sqrt_arg, phase_num, phase_den = self
         if is_zero:
             return 0.0 + 0.0j
@@ -73,6 +82,10 @@ class KloostermanClosedForm(NamedTuple):
     terms: tuple[tuple[complex, int], ...] = ()
 
     def to_complex(self) -> complex:
+        # a value the closed forms shared was evaluated once, by this body, in _share
+        shared = _shared_complex.get(id(self))
+        if shared is not None:
+            return shared[1]
         is_zero, p, s, terms = self
         if is_zero:
             return 0.0 + 0.0j
@@ -109,15 +122,54 @@ def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
 # p^m <= 4096 stays cached; the bound keeps memory fixed on wider sweeps.
 _CACHE_SIZE = 4096
 
+# Shared closed values: each table maps an integer key that fixes every
+# field to the one tuple handed out for it, and _shared_complex maps the id
+# of each such tuple to (the tuple, its to_complex()).  Holding the tuple
+# keeps its id from being reused while the entry exists, and keying by
+# identity lets only tuples the closed forms built read a stored value: a
+# tuple-keyed cache would give a hand-built tuple that compares equal (say
+# with eps = complex(1, -0.0)) the signed zeros of another.
+#
+# A modulus q has at most ~1.2 q distinct Gauss and ~1.3 q distinct
+# Kloosterman/Salie values (counted over full (a, b) grids up to 31^2), so
+# up to _SHARED_MAX_Q a table holds every value of the modulus it sweeps.
+# Values of larger moduli are built per call as before: sharing them would
+# empty the table over and over (five rows mod 5^6 took 1.9x as long).
+_SHARED_MAX_Q = _CACHE_SIZE // 2
+_shared_gauss: dict[int, ExactCharSum] = {}
+_shared_kloosterman: dict[int, KloostermanClosedForm] = {}
+_shared_complex: dict[int, tuple[tuple, complex]] = {}
+_share_lock = threading.Lock()
+
+
+def _share(table: dict, key: int, value) -> None:
+    """Keep ``value`` as the one instance for ``key``, with its complex value.
+    A full table (_CACHE_SIZE values) is emptied first, so memory stays
+    bounded and a long-lived process keeps sharing the values of the moduli
+    it sweeps now, not only of the first ones it met."""
+    with _share_lock:
+        if key not in table:
+            if len(table) >= _CACHE_SIZE:
+                for old in table.values():
+                    del _shared_complex[id(old)]
+                table.clear()
+            _shared_complex[id(value)] = (value, value.to_complex())
+            table[key] = value
+
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int]:
-    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c') for 0 <= a < c, where
+def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int, int]:
+    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c', base) for 0 <= a < c, where
     d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b.
-    At a = 0 this is (c, 1, 1, 1, 0), the linear sum's c * e(0)."""
+    At a = 0 this is (c, 1, 1, 1, 0, base), the linear sum's c * e(0).
+
+    base + phase, for a phase 0 <= t < c', is the shared-value key of
+    (c, c', sign, t): ((2c + [sign = 1]) c + c') c + t lies in
+    [2c^3 + c, 2c^3 + 2c^2 + c), so keys of different c never meet."""
     d = math.gcd(a, c)
     a1, c1 = a // d, c // d
-    return d, c1, jacobi_symbol(a1, c1), epsilon_c(c1), invmod(4 * a1, c1)
+    sign = jacobi_symbol(a1, c1)
+    return d, c1, sign, epsilon_c(c1), invmod(4 * a1, c1), ((2 * c + (sign == 1)) * c + c1) * c
 
 
 def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum:
@@ -126,18 +178,25 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     The gcd d = (a, c) is factored out first; the sum vanishes unless d | b,
     and otherwise equals d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').
     At c | a that is the linear sum, c when c | b.  The part that does not
-    depend on b is cached per (a mod c, c).
+    depend on b is cached per (a mod c, c), and for c <= 2048 equal values
+    are one shared tuple.
     """
     if type(a) is not int or type(b) is not int:
         a, b = operator.index(a), operator.index(b)
     c = modulus.q
-    d, c1, sign, eps, inv_4a1 = _gauss_unit_part(a % c, c)
+    d, c1, sign, eps, inv_4a1, base = _gauss_unit_part(a % c, c)
     b %= c
     if b % d:
         return ZERO_CHAR_SUM
     b1 = b // d
-    # tuple.__new__ skips the NamedTuple's Python-level __new__
-    return tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, (-inv_4a1 * b1 * b1) % c1, c1))
+    phase = (-inv_4a1 * b1 * b1) % c1
+    value = _shared_gauss.get(base + phase)
+    if value is None:
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        value = tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, phase, c1))
+        if c <= _SHARED_MAX_Q:
+            _share(_shared_gauss, base + phase, value)
+    return value
 
 
 def kloosterman_bruteforce(a: int, b: int, c: int) -> complex:
@@ -218,10 +277,18 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
         return ZERO_KLOOSTERMAN
     v = roots[0]  # the roots are v and c - v
     eps, flip, twist = _kloosterman_modulus_part(p, m, twisted)
-    # grouping sign * (eps * flip) keeps the signed zeros of the reported coefficients
     sign = twist[(b if twisted else v) % p]
-    terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
-    return tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
+    # eps is fixed by c, and (4c + 2[flip = 1] + [sign = 1]) c + v lies in
+    # [4c^2, 4c^2 + 4c), so the key fixes the value and never meets another c's
+    key = (4 * c + 2 * (flip == 1) + (sign == 1)) * c + v
+    value = _shared_kloosterman.get(key)
+    if value is None:
+        # grouping sign * (eps * flip) keeps the signed zeros of the reported coefficients
+        terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
+        value = tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
+        if c <= _SHARED_MAX_Q:
+            _share(_shared_kloosterman, key, value)
+    return value
 
 
 def kloosterman_closed(a: int, b: int, modulus: PrimePowerModulus) -> KloostermanClosedForm:

@@ -392,7 +392,8 @@ def bound_scan(
 
     Rows are generated by the documented LCG from ``seed``, so the output is
     identical across runs; ``k_cap`` bounds the number of k-terms per row
-    (the per-row budget), and a scan whose rows total more than ``budget``
+    (the per-row budget, refused with ``BudgetExceeded`` above
+    ``ROW_TERM_BUDGET``), and a scan whose rows total more than ``budget``
     terms is refused at the first row that crosses it, before any row
     object is built.  Rows with the same s are evaluated together in bounded
     chunks of kept terms, each value equal to ``sqrt_root_sum`` of its row.
@@ -409,8 +410,8 @@ def bound_scan(
     if k_cap < 1:
         raise ValidationError(f"k_cap must be at least 1, got {k_cap}")
     budget_val = resolve_budget(budget)
-    charge(min(k_cap, ROW_TERM_BUDGET), ROW_TERM_BUDGET, "scan row terms")
-    groups = _scan_params(p, s_values, trials, seed, c_max, min(k_cap, ROW_TERM_BUDGET), budget_val)
+    charge(k_cap, ROW_TERM_BUDGET, "scan row terms")
+    groups = _scan_params(p, s_values, trials, seed, c_max, k_cap, budget_val)
 
     rows = []
     for s, columns in groups:

@@ -501,7 +501,7 @@ def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
             closed_fn(p, 2 * p, mod)
 
 
-def test_closed_form_caches_stay_bounded():
+def test_closed_form_caches_stay_bounded(monkeypatch):
     big = PrimePowerModulus(3, 9)
     for cache in (charsums._gauss_unit_part, charsums._sqrt_roots):
         assert cache.cache_info().maxsize == charsums._CACHE_SIZE
@@ -516,6 +516,35 @@ def test_closed_form_caches_stay_bounded():
         assert cache.cache_info().hits == info.hits + 1
         assert isinstance(value, tuple)
         hash(value)  # immutable all the way down
+    # 3^9 has more distinct values than a shared table holds: they are built per call
+    assert big.q > charsums._SHARED_MAX_Q
+    assert gauss_sum_closed(units[-1], 1, big) is not gauss_sum_closed(units[-1], 1, big)
+    assert kloosterman_closed(1, 1, big) is not kloosterman_closed(1, 1, big)
+    # shared values past a table's cap: a full table is emptied, never outgrown
+    cap = 32
+    monkeypatch.setattr(charsums, "_CACHE_SIZE", cap)
+    _clear_closed_form_caches()
+    gauss, kloosterman = set(), set()
+    for mod in (PrimePowerModulus(3, 4), PrimePowerModulus(5, 3), PrimePowerModulus(7, 2)):
+        for a in range(1, mod.q):
+            gauss.add(gauss_sum_closed(a, 1, mod))
+            if a % mod.p:
+                kloosterman.update((kloosterman_closed(a, 1, mod), salie_closed(a, 1, mod)))
+    assert len(gauss) > cap and len(kloosterman) > cap
+    tables = (charsums._shared_gauss, charsums._shared_kloosterman)
+    for table in tables:
+        assert 0 < len(table) <= cap
+    # each shared complex value belongs to a value one of the tables holds
+    assert {id(v) for table in tables for v in table.values()} == set(charsums._shared_complex)
+    assert gauss_sum_closed(2, 1, mod) is gauss_sum_closed(2, 1, mod)
+
+
+def _clear_closed_form_caches():
+    for cache in (charsums._gauss_unit_part, charsums._sqrt_roots, charsums._kloosterman_modulus_part,
+                  modmath.unit_root):
+        cache.cache_clear()
+    for table in (charsums._shared_gauss, charsums._shared_kloosterman, charsums._shared_complex):
+        table.clear()
 
 
 def _field_types(value):
@@ -530,16 +559,14 @@ def test_numpy_integer_arguments_match_python_ints(np_int):
         c = mod.q
         for a, b in [(3, 1), (1, 0), (p, 2 * p), (0, c), (-2, 7), (2 * p, 1), (c + 4, -3)]:
             for fn in (gauss_sum_closed, kloosterman_closed, salie_closed):
-                charsums._gauss_unit_part.cache_clear()
-                charsums._sqrt_roots.cache_clear()
+                _clear_closed_form_caches()
                 try:
                     got = fn(np_int(a), np_int(b), mod)
                 except UnsupportedCase:
                     with pytest.raises(UnsupportedCase):
                         fn(a, b, mod)
                     continue
-                charsums._gauss_unit_part.cache_clear()
-                charsums._sqrt_roots.cache_clear()
+                _clear_closed_form_caches()
                 want = fn(a, b, mod)
                 assert got == want and repr(got) == repr(want), (fn.__name__, a, b, c)
                 assert _field_types(got) == _field_types(want)
@@ -636,10 +663,123 @@ def test_nonpositive_phase_denominator_raises_the_reference_error(den):
     got = _outcome(ExactCharSum(False, 1, 1, 1j, 5, 3, den).to_complex)
     assert got == _outcome(_exact_to_complex_reference, ExactCharSum(False, 1, 1, 1j, 5, 3, den))
     assert got[0] is ValidationError
+    assert _outcome(ExactCharSum(False, 1, 1, 1j, 5, 3, den).to_complex) == got  # raised again, never cached
     assert _outcome(additive_character, 3, den) == _outcome(_additive_character_reference, 3, den)
     for terms in ((), ((1j, 2),)):
         kc = KloostermanClosedForm(False, 0, 1, terms)  # c = 0
         assert _outcome(kc.to_complex) == _outcome(_kloosterman_to_complex_reference, kc)
+
+
+def test_cold_closed_form_sweep_grows_the_caches_by_under_one_mib(traced_peak):
+    mod = PrimePowerModulus(3, 6)
+    c = mod.q
+
+    def sweep():
+        for a in range(c):
+            for b in range(c):
+                gauss_sum_closed(a, b, mod).to_complex()
+        return len(charsums._shared_gauss)
+
+    _clear_closed_form_caches()
+    shared, mib = traced_peak(sweep)
+    assert shared == 826  # the distinct nonzero values mod 3^6
+    assert mib < 1.0
+
+
+def test_a_warm_row_hands_out_shared_values():
+    mod = PrimePowerModulus(5, 4)
+    c = mod.q
+
+    def row():
+        return ([gauss_sum_closed(7, b, mod) for b in range(c)]
+                + [closed_fn(7, b, mod) for b in range(1, c, 5) for closed_fn in (kloosterman_closed, salie_closed)])
+
+    def cache_state():
+        caches = (charsums._gauss_unit_part, charsums._sqrt_roots, modmath.unit_root)
+        tables = (charsums._shared_gauss, charsums._shared_kloosterman, charsums._shared_complex)
+        return [cache.cache_info().misses for cache in caches] + [len(table) for table in tables]
+
+    _clear_closed_form_caches()
+    first = row()
+    values = [v.to_complex() for v in first]
+    state = cache_state()
+    again = row()
+    assert all(x is y for x, y in zip(first, again))
+    assert [v.to_complex() for v in again] == values
+    assert cache_state() == state  # the second pass misses no cache and shares nothing new
+    assert gauss_sum_closed(7, 1, mod) is gauss_sum_closed(7, c - 1, mod)  # b and -b: one phase, one object
+
+
+@st.composite
+def _closed_value_args(draw):
+    """(p, m, a, b, lam): arguments in [-2q, 2q], multiples of p included, and a unit lam < p."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    m = draw(st.integers(2, 4))
+    q = p**m
+    arg = st.one_of(st.integers(-2 * q, 2 * q), st.integers(-q, q).map(lambda x: p * x))
+    return p, m, draw(arg), draw(arg), draw(st.integers(1, p - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_closed_value_args(), st.booleans())
+def test_shared_values_match_the_uncached_oracles_cold_and_warm(args, cold):
+    p, m, a, b, lam = args
+    mod = PrimePowerModulus(p, m)
+    if cold:
+        _clear_closed_form_caches()
+    for _ in range(2):  # the first call may build and share the value, the second reads it
+        got = gauss_sum_closed(a, b, mod)
+        want = _gauss_closed_reference(a, b, mod)
+        assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
+        assert repr(got.to_complex()) == repr(_exact_to_complex_reference(want))
+        diff = gauss_difference(a, lam, b, mod)
+        assert repr(diff.to_complex()) == repr(_exact_to_complex_reference(diff))
+        if a % p == 0 and b % p == 0:
+            continue
+        for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
+            got = closed_fn(a, b, mod)
+            want = _kloosterman_salie_reference(a, b, mod, twisted)
+            assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
+            assert repr(got.to_complex()) == repr(_kloosterman_to_complex_reference(want))
+
+
+_RETYPES = (int, float, complex, np.int64, np.float64, np.complex128)
+
+
+def _retyped(x, kind, negate_zeros):
+    """x as ``kind`` (a complex x only where its imaginary part is zero), its
+    zero parts negated first if asked: equal to x, but not the same fields."""
+    if isinstance(x, complex):
+        if negate_zeros:
+            x = complex(x.real or -0.0, x.imag or -0.0)
+        if kind not in (complex, np.complex128):
+            if x.imag:
+                return x
+            x = x.real
+    return kind(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6), st.lists(st.sampled_from(_RETYPES), min_size=4, max_size=4), st.booleans())
+def test_equal_tuples_with_other_fields_never_read_a_shared_value(seed, kinds, negate_zeros):
+    """A hand-built tuple equal to a shared value, with fields of other numeric
+    types or signed zeros, is evaluated from its own fields by the parent's body."""
+    p, m = ((3, 3), (5, 2), (7, 2))[seed % 3]
+    mod = PrimePowerModulus(p, m)
+    shared = gauss_sum_closed(seed // 3, seed // 7, mod)
+    factor, sign, eps = (_retyped(x, kind, negate_zeros) for x, kind in zip(shared[1:4], kinds))
+    phase = np.int64(shared.phase_num) if kinds[3] is np.int64 else shared.phase_num
+    twin = ExactCharSum(shared.is_zero, factor, sign, eps, shared.sqrt_arg, phase, shared.phase_den)
+    assert twin == shared
+    assert repr(shared.to_complex()) == repr(_exact_to_complex_reference(shared))
+    assert repr(twin.to_complex()) == repr(_exact_to_complex_reference(twin))
+    if (seed // 3) % p and (seed // 7) % p:
+        kc = kloosterman_closed(seed // 3, seed // 7, mod)
+        terms = tuple((_retyped(coeff, kind, negate_zeros), type(phase)(t)) for (coeff, t), kind in zip(kc.terms, kinds))
+        ktwin = KloostermanClosedForm(kc.is_zero, kc.p, kc.s, terms)
+        assert ktwin == kc
+        assert repr(kc.to_complex()) == repr(_kloosterman_to_complex_reference(kc))
+        assert repr(ktwin.to_complex()) == repr(_kloosterman_to_complex_reference(ktwin))
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 4), (5, 3), (7, 2)])

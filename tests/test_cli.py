@@ -151,9 +151,11 @@ def test_expsum_scan_bytes_are_pinned(command):
      "budget exceeded: bound scan needs ~1.00e+8 ops, budget is 100000000\n"),
     ("expsum-scan --p 5 --s-range 3..3 --trials 1000000 --c-max 1000000 --k-cap 1000000 --budget 1000000",
      "budget exceeded: bound scan needs ~1.00e+6 ops, budget is 1000000\n"),
+    ("expsum-scan --p 3 --s-range 20..20 --trials 50 --c-max 1 --k-cap 1000000000 --seed 1",
+     "budget exceeded: scan row terms needs ~1.00e+9 ops, budget is 10000000\n"),
 ])
 def test_refused_scans_exit_3_before_building_a_row(command, message):
-    # ~10^6 rows are drawn before each crossing; none becomes a row object
+    # ~10^6 rows are drawn before each budget crossing, none before a refused k_cap; none becomes a row object
     with mock.patch.object(sqrt_expsums, "_params", wraps=sqrt_expsums._params) as params:
         code, out, err = run_main(command.split())
     assert (code, out, err) == (3, "", message)

@@ -198,6 +198,18 @@ def test_refused_scan_stops_drawing_at_the_row_that_crosses_the_budget():
     assert sum(len(K) for _, K in windows) < 9 * 10_000
 
 
+def test_k_cap_is_charged_and_drawn_unclamped():
+    # at the row-term budget the rows keep the documented draw: q = 3^16 > c * k_cap, so k_cap bounds K
+    rows = bound_scan(3, [16], 2, seed=1, c_max=1, k_cap=10**7)
+    assert [row.params for row in rows] == scan_params_loop_oracle(3, [16], 2, 1, 1, 10**7)
+    assert max(row.params.K for row in rows) > 10**6
+    # past it the cap is refused before any row is drawn, not clamped to 10^7
+    with mock.patch.object(sqrt_expsums, "_scan_params", wraps=sqrt_expsums._scan_params) as scan:
+        with pytest.raises(BudgetExceeded, match="scan row terms needs ~1.00e[+]9 ops, budget is 10000000"):
+            bound_scan(3, [20], 50, seed=1, c_max=1, k_cap=10**9)
+    assert scan.call_count == 0
+
+
 def test_scan_runs_trial_division_once_not_per_row(monkeypatch):
     calls = []
     real_is_prime = modmath.is_prime

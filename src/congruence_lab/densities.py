@@ -21,6 +21,7 @@ from .errors import (
     NotHomogeneous,
     ValidationError,
     charge,
+    require_int,
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, jacobi_symbol, require_odd_prime
@@ -39,7 +40,8 @@ class DiagonalForm:
     def __post_init__(self) -> None:
         if len(self.lambdas) < 1:
             raise ValidationError("a form needs at least one coefficient")
-        object.__setattr__(self, "lambdas", tuple(int(v) for v in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(require_int("lambda", v) for v in self.lambdas))
+        object.__setattr__(self, "inhomogeneous_term", require_int("lambda_{n+1}", self.inhomogeneous_term))
 
     @property
     def n(self) -> int:

@@ -8,6 +8,7 @@ budget (a rough count of inner-loop operations).  Exceeding it raises
 from __future__ import annotations
 
 import math
+import operator
 import os
 from decimal import Decimal
 
@@ -90,6 +91,16 @@ def require_finite_positive(name: str, value: float) -> None:
     """Raise ``ValidationError`` naming the parameter unless value is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_int(name: str, value) -> int:
+    """value as a Python int: numpy integers convert exactly, while a float, a
+    string or anything else without ``__index__`` raises ``ValidationError``
+    instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def charge(cost: int, budget: int, what: str = "operation") -> None:

@@ -23,6 +23,7 @@ from .errors import (
     NotCoprimeRoot,
     NotInvertible,
     ValidationError,
+    require_int,
 )
 
 MAX_PRIME = 1 << 20
@@ -89,6 +90,9 @@ class PrimePowerModulus:
     q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # a numpy p would keep q as a wrapping np.int64
+        object.__setattr__(self, "p", require_int("p", self.p))
+        object.__setattr__(self, "m", require_int("m", self.m))
         require_odd_prime(self.p)
         if not (1 <= self.m <= MAX_EXPONENT):
             raise ValidationError(f"m={self.m} out of range 1..{MAX_EXPONENT}")

@@ -2,8 +2,9 @@
 
 Weighted counts tau_n(k) of lattice representations by the positive
 definite dual form, the singular series coefficients a_q(k) with the
-unit-coordinate side condition, the truncated singular series, the
-thin-shell singular integral, and the bounded quadruple count for
+unit-coordinate side condition (an Euler product over prime powers), the
+truncated singular series, the thin-shell singular integral (nested
+one-dimensional quadrature), and the bounded quadruple count for
 congruences in four squares.
 """
 
@@ -14,6 +15,7 @@ import math
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,9 +25,11 @@ from .errors import (
     CoprimalityViolated,
     HypothesisViolated,
     IndefiniteForm,
+    TruncationInsufficient,
     ValidationError,
     charge,
     require_finite_positive,
+    require_int,
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, invmod, require_odd_prime, residue_dtype
@@ -42,7 +46,7 @@ class DualForm:
     def __post_init__(self) -> None:
         if len(self.deltas) < 1:
             raise ValidationError("dual form needs at least one coefficient")
-        object.__setattr__(self, "deltas", tuple(int(v) for v in self.deltas))
+        object.__setattr__(self, "deltas", tuple(require_int("Delta", v) for v in self.deltas))
 
     @property
     def n(self) -> int:
@@ -166,10 +170,11 @@ class _TableCache:
         return table
 
 
-# A table mod q takes 16 q bytes: every table for q <= 100 (~80 KB per form
-# and prime, ~80 KB of square sums per prime, ~80 KB of unit roots) stays
-# cached, and a singular_series scan to any q_max leaves at most this many
-# bytes of its last tables behind.
+# A table mod q takes 16 q bytes, and tables are built at q = 1 and at prime
+# powers only: every table of a q_max = 100 series (~22 KB per form and
+# prime, ~22 KB of square sums per prime, ~22 KB of unit roots) stays cached,
+# and a series to any q_max leaves at most this many bytes of its last
+# tables behind.
 _PHASE_TABLE_BYTES = 8 << 20
 _PHASE_TABLES = _TableCache(_PHASE_TABLE_BYTES)
 
@@ -212,12 +217,43 @@ def singular_coefficient(
     unit-coordinate character sum over x mod pq, the latter factorized into
     a product of one-variable quadratic sums.  Those come for every a at
     once from one DFT of the square histogram mod q, cached per modulus.
+    That sum is taken at q = 1 and at prime powers only: a_q(k) (p/(p-1))^n
+    is multiplicative in q, so a composite q is the product of its
+    prime-power factors, taken in the order ``singular_series`` takes them.
     """
+    q, k, p = require_int("q", q), require_int("k", k), require_int("p", p)
     if q < 1:
         raise ValidationError("q must be positive")
     _require_unit_duals(dual, p)
+    # the prime-power factors sum to at most q, so this bounds their costs
     charge(_coefficient_cost(q, p, dual.n), resolve_budget(budget), "singular coefficient")
-    return _coefficient(q, k, dual.deltas, p)
+    factors = []  # the prime-power factors of q by increasing prime
+    rest = q
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            head = d
+            rest //= d
+            while rest % d == 0:
+                head *= d
+                rest //= d
+            factors.append(head)
+        d += 1
+    if rest > 1 or not factors:
+        factors.append(rest)
+    aq = _coefficient(factors[-1], k, dual.deltas, p)
+    unit = _euler_unit(p, dual.n)
+    for head in reversed(factors[:-1]):
+        aq = _coefficient(head, k, dual.deltas, p) * aq * unit + 0.0
+    return aq
+
+
+def _euler_unit(p: int, n: int) -> float:
+    """(p/(p-1))^n: a_{q1 q2} = a_{q1} a_{q2} (p/(p-1))^n for coprime q1, q2.
+    The Chinese remainder theorem splits the units a mod q1 q2 and the x mod
+    p q1 q2, and the condition that p does not divide x falls into exactly
+    one of the two factors, which leaves one surplus (p - 1)/p per coordinate."""
+    return (p / (p - 1)) ** n
 
 
 def _require_unit_duals(dual: DualForm, p: int) -> None:
@@ -231,20 +267,45 @@ def _coefficient_cost(q: int, p: int, n: int) -> int:
     return q * (p + (q - 1).bit_length() + n + 1)
 
 
-def _series_cost(q_max: int, p: int, n: int) -> int:
-    """The sum of ``_coefficient_cost`` over q <= q_max, in closed form per bit
-    length j of q - 1 (q in (2^(j-1), 2^j]), so a huge q_max refuses at once."""
+# Per q <= q_max: the smallest-prime-factor sieve, the head/rest split, the
+# product rounds, the prefix sum, the decay maximum and the coefficient dict
+# took 300-600 ns per q (q_max 2000-8940), 120-240 ops at the ~4e8 charged
+# ops/s of the library's other stages.
+_SPLIT_OPS = 160
 
-    def tri(m: int) -> int:
-        return m * (m + 1) // 2
 
-    cost = (p + n + 1) * tri(q_max)
-    for j in range(1, (q_max - 1).bit_length() + 1):
-        cost += j * (tri(min(1 << j, q_max)) - tri(1 << (j - 1)))
-    return cost
+def _series_cost(direct: list[int], q_max: int, p: int, n: int) -> int:
+    """What ``singular_series`` runs: ``_coefficient_cost`` at each modulus
+    it evaluates directly (q = 1 and the prime powers), and ``_SPLIT_OPS``
+    per q for the split and the products."""
+    return sum(_coefficient_cost(q, p, n) for q in direct) + _SPLIT_OPS * q_max
+
+
+def _split(q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(head, rest) for q = 0..q_max: head is the full power of the smallest
+    prime factor of q in q, and rest = q / head.  rest is 1 exactly at q = 1
+    and at the prime powers; q = 0 is a placeholder with head = rest = 1."""
+    qs = np.arange(q_max + 1, dtype=np.int64)
+    spf = qs.copy()
+    spf[:2] = 1
+    for d in range(2, math.isqrt(q_max) + 1):
+        if spf[d] == d:
+            multiples = spf[d * d :: d]  # a view: the assignment writes spf
+            multiples[multiples == qs[d * d :: d]] = d
+    head = spf.copy()
+    rest = qs // spf
+    rest[0] = 1
+    more = np.flatnonzero((spf > 1) & (rest % spf == 0))
+    while len(more):
+        head[more] *= spf[more]
+        rest[more] //= spf[more]
+        more = more[rest[more] % spf[more] == 0]
+    return head, rest
 
 
 def _coefficient(q: int, k: int, deltas: tuple[int, ...], p: int) -> float:
+    """a_q(k) by its phase-table sum, for any q; the direct evaluation that
+    the Euler product applies at q = 1 and at prime powers."""
     table = _coefficient_phase_table(q, p, deltas)
     phases = _PHASE_TABLES.get((q,), _unit_roots)[np.arange(q, dtype=np.int64) * (k % q) % q]
     return float((table @ phases).real / (p * q) ** len(deltas))
@@ -283,29 +344,65 @@ def singular_series(
 ) -> SingularData:
     """Partial sum of a_q(k) for q <= q_max with an empirical tail estimate.
 
-    The recorded decay constant is max |a_q(k)| q^(n/2-1); the tail bound is
-    that constant times q_max^(2-n/2) (the integral-comparison envelope,
-    degenerating to the constant itself at n = 4).  The arguments are
-    checked once, and the whole series, the sum of every coefficient's
-    cost, is charged before the first one runs.
+    The coefficients are an Euler product: a_q(k) is evaluated directly at
+    q = 1 and at the prime powers, and every other a_q is filled in as
+    a_head a_rest (p/(p-1))^n, head the power of q's smallest prime, in
+    rounds by the number of distinct prime factors; the partial sum adds
+    them in order of q.  The recorded decay constant is max |a_q(k)|
+    q^(n/2-1); the tail bound is that constant times q_max^(2-n/2) (the
+    integral-comparison envelope, degenerating to the constant itself at
+    n = 4).  The whole series is charged before any coefficient runs, and a
+    q_max whose largest prime alone is over budget is refused before the
+    split is built.
     """
+    k, p, q_max = require_int("k", k), require_int("p", p), require_int("q_max", q_max)
     n = dual.n
     if n < 4:
         raise ValidationError("singular series needs n >= 4")
     if q_max < 1:
         raise ValidationError("q_max must be positive")
     _require_unit_duals(dual, p)
-    charge(_series_cost(q_max, p, n), resolve_budget(budget), "singular series")
-    coeffs: dict[int, float] = {}
-    decay = 0.0
-    partial = 0.0
-    for q in range(1, q_max + 1):
-        aq = _coefficient(q, k, dual.deltas, p)
-        coeffs[q] = aq
-        partial += aq
-        decay = max(decay, abs(aq) * q ** (n / 2.0 - 1.0))
+    budget_val = resolve_budget(budget)
+    # Bertrand: a prime lies in (q_max / 2, q_max], so its coefficient alone
+    # is a lower bound that refuses a huge q_max before anything of length
+    # q_max exists
+    cost = _coefficient_cost(q_max // 2 + 1, p, n)
+    if cost <= budget_val:
+        head, rest = _split(q_max)
+        direct = np.flatnonzero(rest == 1)[1:].tolist()
+        cost = _series_cost(direct, q_max, p, n)
+    charge(cost, budget_val, "singular series")
+    coeffs = np.zeros(q_max + 1)
+    for q in direct:
+        coeffs[q] = _coefficient(q, k, dual.deltas, p)
+    unit = _euler_unit(p, n)
+    done = rest == 1
+    while not done.all():
+        ready = np.flatnonzero(~done & done[rest])
+        # + 0.0: a zero factor times a negative one is 0.0, not -0.0
+        coeffs[ready] = coeffs[head[ready]] * coeffs[rest[ready]] * unit + 0.0
+        done[ready] = True
+    values = coeffs[1:].tolist()
+    # Python's q ** e, not numpy's power, which may differ in the last bit
+    e = n / 2.0 - 1.0
+    decay = max(abs(aq) * q**e for q, aq in enumerate(values, 1))
     tail = decay * q_max ** (2.0 - n / 2.0)
-    return SingularData(q_max, coeffs, partial, tail, decay)
+    partial = float(np.cumsum(coeffs[1:])[-1])  # left to right, as a running sum
+    return SingularData(q_max, dict(enumerate(values, 1)), partial, tail, decay)
+
+
+# The m-node rule first tried; doubled until two successive rules agree.
+_FIRST_NODES = 16
+# weight evaluations one rule may take (~1 s for a Gaussian, ~1 min for a
+# bump); the 32-node rule stays within it up to n = 16
+_MAX_RULE_EVALS = 1 << 24
+# two rules that differ by less than this share of the envelope agree: the
+# sums are rounded at that scale, so a value far below it (near the edge of
+# a compact support, or where an oscillating weight cancels) has no
+# resolvable relative error
+_ENVELOPE_ROUNDING = 1e-13
+# levels x angle nodes per block of pair-density evaluations (128 KiB of floats)
+_PAIR_BLOCK = 1 << 14
 
 
 def singular_integral(
@@ -314,67 +411,117 @@ def singular_integral(
     dual: DualForm,
     w: WeightSpec,
     rel_tol: float = 1e-3,
-    seed: int = 0,
 ) -> float:
     """Thin-shell density of the dual form at level t = k / P^2.
 
-    Computed in co-area form: (1/2) t^(n/2-1) * prod(Delta_j^(-1/2)) times
-    the mean over the unit sphere of the product of Fourier weights at the
-    ellipsoid point sqrt(t) * theta_j / sqrt(Delta_j), scaled by the sphere
-    area.  n = 2 uses deterministic angular quadrature; higher n uses Monte
-    Carlo with a fixed seed, sized for the requested relative accuracy.
+    J(t) is the density at t of sum_j Delta_j y_j^2 under the product
+    measure prod_j fhat(y_j) dy_j.  One coordinate has the density
+    rho(u) = fhat(sqrt(u / Delta)) / sqrt(u Delta).  A pair has, with
+    u = s sin^2 phi, P_ij(s) = 2 / sqrt(Delta_i Delta_j) times the integral
+    over [0, pi/2] of fhat(sqrt(s / Delta_i) sin phi) fhat(sqrt(s / Delta_j) cos phi),
+    an even pi-periodic integrand, so the midpoint rule is spectrally
+    accurate.  The pair densities are convolved on [0, s] by Gauss-Legendre,
+    halving the list of pairs at each level; an odd last coordinate enters
+    as the integral over v in [0, sqrt(t)] of D(t - v^2) fhat(v / sqrt(Delta)) 2 / sqrt(Delta).
+    Every rule has m nodes: the 16- and 32-node values are compared, m
+    doubles until two successive values agree to ``rel_tol`` (or differ by
+    less than 1e-13 of the envelope, the same density with every fhat
+    replaced by fhat(0), which bounds |J(t)| for every weight kind), and the
+    last is returned.  A rule past ``_MAX_RULE_EVALS`` weight evaluations
+    raises ``TruncationInsufficient``.
     """
     dual.require_positive_definite()
     require_finite_positive("k", k)
     require_finite_positive("P", P)
     if P < 1:
         raise ValidationError(f"P must be >= 1, got {P!r}")
-    n = dual.n
+    if not (math.isfinite(rel_tol) and 0.0 < rel_tol < 1.0):
+        raise ValidationError(f"rel_tol must be finite and in (0, 1), got {rel_tol!r}")
     t = k / (P * P)
-    inv_sqrt = np.array([1.0 / math.sqrt(d) for d in dual.deltas])
-    front = 0.5 * t ** (n / 2.0 - 1.0) * float(np.prod(inv_sqrt))
+    n = dual.n
     if n == 1:
-        pts = np.array([[1.0], [-1.0]])
-        vals = _shell_values(w, pts, t, inv_sqrt)
-        return front * float(vals.sum())
-    if n == 2:
-        thetas = np.linspace(0.0, 2.0 * math.pi, 8192, endpoint=False)
-        pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        vals = _shell_values(w, pts, t, inv_sqrt)
-        return front * 2.0 * math.pi * float(vals.mean())
-    rng = np.random.default_rng(seed)
-    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    batch = 40_000
-    vals = np.empty(batch)
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for _ in range(50):
-        # row blocks draw the same stream as one (batch, n) draw, and each
-        # point's value depends on its own row alone
-        for lo in range(0, batch, 4096):
-            g = rng.standard_normal((min(4096, batch - lo), n))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            vals[lo : lo + len(g)] = _shell_values(w, g, t, inv_sqrt)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        count += batch
-        mean = total / count
-        if mean == 0.0:
-            return 0.0
-        var = max(total_sq / count - mean * mean, 0.0)
-        stderr = math.sqrt(var / count)
-        if stderr <= rel_tol * abs(mean) / 2.0:
-            break
-    return front * area * (total / count)
+        d = dual.deltas[0]
+        return float(weight_fourier_array(w, math.sqrt(t / d))) / math.sqrt(t * d)
+    log_envelope = (n * math.log(float(weight_fourier_array(w, 0.0))) + n / 2.0 * math.log(math.pi)
+                    + (n / 2.0 - 1.0) * math.log(t) - math.lgamma(n / 2.0)
+                    - sum(math.log(d) for d in dual.deltas) / 2.0)
+    floor = _ENVELOPE_ROUNDING * math.exp(min(log_envelope, 700.0))
+    m = _FIRST_NODES
+    value = None
+    while True:
+        if _rule_evals(n, m) > _MAX_RULE_EVALS:
+            raise TruncationInsufficient(
+                f"the {m}-node rule for n = {n} needs {_rule_evals(n, m)} weight evaluations "
+                f"(limit {_MAX_RULE_EVALS}); the {m // 2}-node value {value!r} did not reach rel_tol={rel_tol}"
+            )
+        previous, value = value, _shell_density(t, dual.deltas, w, m)
+        if previous is not None and abs(value - previous) <= max(rel_tol * abs(value), floor):
+            return value
+        m *= 2
 
 
-def _shell_values(w: WeightSpec, pts: np.ndarray, t: float, inv_sqrt: np.ndarray) -> np.ndarray:
-    coords = math.sqrt(t) * pts * inv_sqrt
-    vals = np.ones(len(pts))
-    for j in range(pts.shape[1]):
-        vals *= weight_fourier_array(w, coords[:, j])
-    return vals
+def _rule_evals(n: int, m: int) -> int:
+    """An upper bound on the weight evaluations of the m-node rule at n >= 2:
+    n coordinates, each at m angle nodes per level, and m^depth levels."""
+    depth = (n // 2 - 1).bit_length() + n % 2
+    return n * m ** (depth + 1)
+
+
+@lru_cache(maxsize=16)
+def _quadrature_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The m-node Gauss-Legendre nodes and weights on [0, 1] (Golub-Welsch:
+    the eigenvalues of the Jacobi matrix, the weights from the first
+    components of its eigenvectors), made symmetric, so the nodes read
+    backwards are 1 - x exactly; and sin and cos at the m midpoints of
+    [0, pi/2].  Built on first use and kept per m."""
+    j = np.arange(1.0, m)
+    beta = j / np.sqrt(4.0 * j * j - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    weights = vectors[0] ** 2
+    x = (1.0 + (nodes - nodes[::-1]) / 2.0) / 2.0
+    wx = (weights + weights[::-1]) / 2.0
+    phi = (np.arange(m) + 0.5) * (math.pi / (2 * m))
+    rule = (x, wx, np.sin(phi), np.cos(phi))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _shell_density(t: float, deltas: tuple[int, ...], w: WeightSpec, m: int) -> float:
+    """J(t) by the m-node rules (n >= 2)."""
+    rule = _quadrature_rule(m)
+    pairs = [deltas[i : i + 2] for i in range(0, len(deltas) - 1, 2)]
+    if len(deltas) % 2 == 0:
+        return float(_pairs_density(pairs, np.array([t]), w, rule)[0])
+    x, wx = rule[0], rule[1]
+    scale = 1.0 / math.sqrt(deltas[-1])
+    v = math.sqrt(t) * x
+    # t - v^2 as t (1 - x)(1 + x): no cancellation near v = sqrt(t)
+    inner = _pairs_density(pairs, t * x[::-1] * (1.0 + x), w, rule)
+    return math.sqrt(t) * 2.0 * scale * float((inner * weight_fourier_array(w, v * scale)) @ wx)
+
+
+def _pairs_density(pairs: list[tuple[int, ...]], s: np.ndarray, w: WeightSpec, rule) -> np.ndarray:
+    """The density of the sum over the given pairs at each level in s: one
+    pair by the midpoint rule in phi, more by a Gauss-Legendre convolution
+    of the two halves' densities on [0, s]."""
+    x, wx, sin, cos = rule
+    if len(pairs) == 1:
+        di, dj = pairs[0]
+        flat = np.sqrt(s).ravel()
+        sin_i, cos_j = sin / math.sqrt(di), cos / math.sqrt(dj)
+        out = np.empty(len(flat))
+        step = max(1, _PAIR_BLOCK // len(sin))
+        for lo in range(0, len(flat), step):
+            r = flat[lo : lo + step, None]
+            vals = weight_fourier_array(w, r * sin_i) * weight_fourier_array(w, r * cos_j)
+            out[lo : lo + step] = vals.sum(axis=1)
+        return out.reshape(s.shape) * (math.pi / (len(sin) * math.sqrt(di * dj)))
+    half = len(pairs) // 2
+    left = _pairs_density(pairs[:half], s[..., None] * x, w, rule)
+    right = _pairs_density(pairs[half:], s[..., None] * x[::-1], w, rule)
+    # a pairwise sum, not BLAS matmul, whose bits may depend on its thread count
+    return s * (left * right * wx).sum(axis=-1)
 
 
 def quadruple_count(

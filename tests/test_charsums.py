@@ -65,6 +65,13 @@ def test_gauss_closed_examples():
     assert abs(cs2.to_complex() - gauss_sum_bruteforce(2, 0, 3)) < tol(3)
 
 
+def test_gauss_closed_on_a_numpy_modulus():
+    """A numpy p used to reach invmod as np.int64 and raise a bare TypeError."""
+    got = gauss_sum_closed(3, 4, PrimePowerModulus(np.int64(5), 3))
+    assert got == gauss_sum_closed(3, 4, PrimePowerModulus(5, 3))
+    assert abs(got.to_complex() - gauss_sum_bruteforce(3, 4, 125)) < tol(125)
+
+
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (7, 2)])
 def test_gauss_closed_exhaustive(p, m):
     mod = PrimePowerModulus(p, m)

@@ -192,7 +192,7 @@ PINNED_README_SHA256 = {
     "tau 2 --deltas 1 1 --p 3 --m 5 --N 10":
         "2c49e591ec01f3d7feefcbb57256939cebb9762c64b595102d12734b02687afb",
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 50":
-        "c00b0e28fc3b2ba92d689c719abaae8894efda35552f68c8bb054a00350cbe97",
+        "9aa982959b809474b8a9ae6ed091a0516e034ceab58b1ea73cc20c9d7cdf2d47",
     "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1":
         "c0a87520b9d9692510fca6abd3e3023b745d86d330a4a3244cb47e0943ae895b",
     "selftest --quick":

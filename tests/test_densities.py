@@ -95,6 +95,17 @@ def test_density_B_coprimality_errors():
         density_B(DiagonalForm((1, 1), 3), 3)
 
 
+def test_form_coefficients_are_integers():
+    """A float coefficient used to be truncated (1.5 became 1) and the
+    inhomogeneous term was never coerced."""
+    form = DiagonalForm((np.int64(1), np.int32(1), 2), np.int64(3))
+    assert form == DiagonalForm((1, 1, 2), 3)
+    assert all(type(v) is int for v in (*form.lambdas, form.inhomogeneous_term))
+    for lams, lnext in [((1.5, 1, 2), 3), ((1, 1, 2), 3.0), (("1", 1, 2), 3), ((1, 1, 2), "3")]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            DiagonalForm(lams, lnext)
+
+
 def test_density_A_examples():
     dv = density_A(DiagonalForm((1, 1, 1)), 3)
     assert (dv.numerator, dv.denominator) == (8, 9)

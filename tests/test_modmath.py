@@ -234,6 +234,16 @@ def test_modulus_validation():
         PrimePowerModulus(3, 61)
 
 
+def test_modulus_takes_numpy_integers_as_python_ints():
+    """A numpy p used to keep q as an np.int64, which wraps past 2^63."""
+    mod = PrimePowerModulus(np.int64(3), np.int32(40))
+    assert mod.q == 12157665459056928801 == 3**40
+    assert (type(mod.p), type(mod.m), type(mod.q)) == (int, int, int)
+    for p, m in [(5.0, 3), (5, 3.0), ("5", 3), (5, "3"), (5.5, 3)]:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PrimePowerModulus(p, m)
+
+
 def test_hensel_lift_deep_exponent():
     """Lifting all the way to 3^60 stays exact in big-integer arithmetic."""
     target = PrimePowerModulus(3, 60)

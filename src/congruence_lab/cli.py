@@ -14,9 +14,8 @@ import math
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import charsums, counting, densities, representations, sqrt_expsums
-from .densities import DiagonalForm
 from .errors import (
     BudgetExceeded,
     CongruenceLabError,
@@ -26,7 +25,14 @@ from .errors import (
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, sqrt_classes_mod_prime_power
-from .representations import DualForm
+
+# Each verb imports the modules it runs inside its handler, so start-up pays
+# only for those: `density` never loads numpy, `expsum-scan` never loads the
+# counting stack.
+if TYPE_CHECKING:
+    from .charsums import ExactCharSum, KloostermanClosedForm
+    from .counting import CountReport, WeightSpec
+    from .densities import DiagonalForm
 
 
 def _fmt_float(v: float) -> str:
@@ -120,7 +126,7 @@ def _to_plain(data, prefix: str = "") -> str:
     return _plain_scalar(data) + "\n"
 
 
-def _char_sum_dict(cs: charsums.ExactCharSum) -> dict:
+def _char_sum_dict(cs: ExactCharSum) -> dict:
     if cs.is_zero:
         return {"is_zero": True}
     return {
@@ -134,7 +140,7 @@ def _char_sum_dict(cs: charsums.ExactCharSum) -> dict:
     }
 
 
-def _kloosterman_dict(kf: charsums.KloostermanClosedForm) -> dict:
+def _kloosterman_dict(kf: KloostermanClosedForm) -> dict:
     if kf.is_zero:
         return {"is_zero": True}
     return {
@@ -145,7 +151,9 @@ def _kloosterman_dict(kf: charsums.KloostermanClosedForm) -> dict:
     }
 
 
-def _weight_from_args(args) -> counting.WeightSpec:
+def _weight_from_args(args) -> WeightSpec:
+    from . import counting
+
     kind = {"gaussian": counting.GAUSSIAN, "bump": counting.BUMP_PAIR, "sharp": counting.SHARP_CUTOFF}[args.weight]
     return counting.WeightSpec(kind, sigma=args.sigma, radius=args.radius)
 
@@ -185,6 +193,8 @@ def _parse_range(text: str, flag: str) -> range:
 
 
 def _cmd_eval_gauss(args) -> dict:
+    from . import charsums
+
     mod = PrimePowerModulus(args.p, args.m)
     closed = charsums.gauss_sum_closed(args.a, args.b, mod)
     value = closed.to_complex()
@@ -198,6 +208,8 @@ def _cmd_eval_gauss(args) -> dict:
 
 
 def _cmd_eval_kloosterman(args) -> dict:
+    from . import charsums
+
     mod = PrimePowerModulus(args.p, args.m)
     closed_fn = charsums.salie_closed if args.salie else charsums.kloosterman_closed
     brute_fn = charsums.salie_bruteforce if args.salie else charsums.kloosterman_bruteforce
@@ -212,22 +224,24 @@ def _cmd_eval_kloosterman(args) -> dict:
 
 
 def _cmd_density(args) -> dict:
+    from .densities import DiagonalForm, density_A, density_B, ternary_C_p
+
     lams = tuple(args.lam)
     if args.which == "C":
         if len(lams) != 3:
             raise ValidationError("density C takes exactly three coefficients")
-        value = densities.ternary_C_p(*lams, args.p)
+        value = ternary_C_p(*lams, args.p)
         return {"num": value.numerator, "den": value.denominator, "value": float(value)}
     if args.which == "A":
-        dv = densities.density_A(DiagonalForm(lams), args.p)
+        dv = density_A(DiagonalForm(lams), args.p)
     else:
         if len(lams) < 2:
             raise ValidationError("density B takes the n coefficients plus the inhomogeneous term")
-        dv = densities.density_B(DiagonalForm(lams[:-1], lams[-1]), args.p)
+        dv = density_B(DiagonalForm(lams[:-1], lams[-1]), args.p)
     return {"num": dv.numerator, "den": dv.denominator, "value": float(dv.as_rational)}
 
 
-def _count_report_dict(rep: counting.CountReport) -> dict:
+def _count_report_dict(rep: CountReport) -> dict:
     return {
         "T": rep.T,
         "T0": rep.T0,
@@ -246,6 +260,9 @@ def _count_report_dict(rep: counting.CountReport) -> dict:
 
 
 def _form_for_mode(args) -> tuple[DiagonalForm, str]:
+    from . import counting
+    from .densities import DiagonalForm
+
     lams = tuple(args.lam)
     if args.mode == "inhom":
         if len(lams) < 2:
@@ -255,6 +272,8 @@ def _form_for_mode(args) -> tuple[DiagonalForm, str]:
 
 
 def _cmd_count(args) -> dict:
+    from . import counting
+
     form, mode = _form_for_mode(args)
     mod = PrimePowerModulus(args.p, args.m)
     N = _resolve_N(args, mod.q)
@@ -269,6 +288,8 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_verify_asymptotic(args) -> dict:
+    from . import counting
+
     form, mode = _form_for_mode(args)
     w = _weight_from_args(args)
     rows = []
@@ -281,6 +302,8 @@ def _cmd_verify_asymptotic(args) -> dict:
 
 
 def _cmd_expsum_scan(args) -> tuple[dict, str]:
+    from . import sqrt_expsums
+
     rows = sqrt_expsums.bound_scan(
         args.p,
         _parse_range(args.s_range, "--s-range"),
@@ -303,17 +326,21 @@ def _cmd_expsum_scan(args) -> tuple[dict, str]:
 
 
 def _cmd_tau(args) -> dict:
+    from .representations import DualForm, tau_n
+
     dual = DualForm(tuple(args.deltas))
     mod = PrimePowerModulus(args.p, args.m)
     w = _weight_from_args(args)
     N = _resolve_N(args, mod.q)
-    value = representations.tau_n(args.k, dual, args.r, w, mod, N, budget=args.budget)
+    value = tau_n(args.k, dual, args.r, w, mod, N, budget=args.budget)
     return {"k": args.k, "tau": value}
 
 
 def _cmd_singular_series(args) -> dict:
+    from .representations import DualForm, singular_series
+
     dual = DualForm(tuple(args.deltas))
-    data = representations.singular_series(args.k, dual, args.p, args.q_max, budget=args.budget)
+    data = singular_series(args.k, dual, args.p, args.q_max, budget=args.budget)
     return {
         "k": args.k,
         "q_max": data.q_max,
@@ -325,10 +352,10 @@ def _cmd_singular_series(args) -> dict:
 
 
 def _cmd_quad_count(args) -> dict:
+    from .representations import quadruple_count
+
     c = PrimePowerModulus(args.p, args.s).q
-    count = representations.quadruple_count(
-        tuple(args.alphas), args.b, c, args.M, p=args.p, budget=args.budget
-    )
+    count = quadruple_count(tuple(args.alphas), args.b, c, args.M, p=args.p, budget=args.budget)
     return {"count": count, "c": c, "M": args.M}
 
 
@@ -337,6 +364,9 @@ def _cmd_quad_count(args) -> dict:
 
 
 def _selftest_lines(quick: bool, seed: int) -> tuple[list[str], bool]:
+    from . import charsums, counting, sqrt_expsums
+    from .densities import DiagonalForm
+
     lines: list[str] = []
     ok = True
 

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .charsums import dual_kernel_level
 from .densities import DiagonalForm, mod_p_density
 from .errors import (
     TruncationInsufficient,
@@ -568,6 +567,9 @@ def count_weighted_spectral(
     mod c = p^(m-r), and each level is one real gather over the units below
     c/2 (see dual_kernel_level), so imag_residual is 0.
     """
+    # the one use of charsums here: a direct count never loads it
+    from .charsums import dual_kernel_level
+
     q, p, m = modulus.q, modulus.p, modulus.m
     n = form.n
     require_finite_positive("N", N)

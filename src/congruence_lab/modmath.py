@@ -13,9 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     EvenModulus,
@@ -25,6 +23,11 @@ from .errors import (
     ValidationError,
     require_int,
 )
+
+# numpy is imported inside the five array helpers below, so the scalar
+# arithmetic, which is all the `density` verb runs, never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PRIME = 1 << 20
 MAX_EXPONENT = 60
@@ -202,6 +205,8 @@ def _lift_sqrt(w: int, r: int, p: int, t: int, s: int) -> int:
 def residue_dtype(m: int) -> type:
     """Array dtype for residues mod m: int64 while a product of two residues
     fits (m^2 < 2^63), else object, holding exact Python ints."""
+    import numpy as np
+
     return np.int64 if m * m < 1 << 63 else object
 
 
@@ -220,6 +225,8 @@ class PrimeTables(NamedTuple):
 @lru_cache(maxsize=8)
 def prime_tables(p: int) -> PrimeTables:
     """Legendre, canonical-root and inverse tables mod the odd prime p."""
+    import numpy as np
+
     require_odd_prime(p)
     if residue_dtype(p) is object:
         raise ValidationError(f"tables mod p={p} need p^2 < 2^63")
@@ -238,6 +245,8 @@ def prime_tables(p: int) -> PrimeTables:
 
 def _pow_array(x: np.ndarray, e: int, m: int) -> np.ndarray:
     """x^e mod m elementwise in int64, for m^2 < 2^63 and 0 <= x < m."""
+    import numpy as np
+
     out = np.ones_like(x)
     while e:
         if e & 1:
@@ -257,6 +266,8 @@ def _inverse_sqrt_seed(p: int) -> tuple[int, np.ndarray]:
     """(t0, table) for p^2 <= LIFT_SEED_LIMIT: p^t0 is the largest power of p
     up to the limit, and table[z] is one inverse square root of every unit
     square z mod p^t0 (0 elsewhere)."""
+    import numpy as np
+
     t0 = 1
     while p ** (t0 + 1) <= LIFT_SEED_LIMIT:
         t0 += 1
@@ -285,6 +296,8 @@ def lift_sqrt_array(z: np.ndarray, w: np.ndarray | None, p: int, s: int) -> np.n
     mod the odd p^t by a shift; above that each element goes through the
     scalar ``_lift_sqrt`` and the result holds Python ints.
     """
+    import numpy as np
+
     q = p**s
     if w is None and (residue_dtype(q) is object or p * p > LIFT_SEED_LIMIT):
         w = prime_tables(p).root[(z % p).astype(np.int64)]

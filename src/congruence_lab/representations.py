@@ -263,13 +263,18 @@ def _require_unit_duals(dual: DualForm, p: int) -> None:
 
 
 def _coefficient_cost(q: int, p: int, n: int) -> int:
-    """Square histogram, one transform, n gathers and the final phase sum."""
-    return q * (p + (q - 1).bit_length() + n + 1)
+    """One direct a_q in ops at the ~4e8 charged ops/s of the library's other
+    stages, fitted to its measured parts (2-vCPU Xeon, numpy 2.4): the square
+    histogram over x mod pq, ~7 per x; the length-q DFT, ~6 per q log2 q,
+    since at a prime q it is a Bluestein transform; the unit mask, the unit
+    roots and the phase sum, ~44 per residue; the n gathers, ~3 per residue
+    and coordinate; and ~24,000 for the table builds of any q."""
+    return q * (7 * p + 6 * (q - 1).bit_length() + 3 * n + 44) + 24_000
 
 
 # Per q <= q_max: the smallest-prime-factor sieve, the head/rest split, the
 # product rounds, the prefix sum, the decay maximum and the coefficient dict
-# took 300-600 ns per q (q_max 2000-8940), 120-240 ops at the ~4e8 charged
+# took 300-600 ns per q (q_max 1000-8940), 120-240 ops at the ~4e8 charged
 # ops/s of the library's other stages.
 _SPLIT_OPS = 160
 

@@ -270,6 +270,32 @@ def test_bump_counts_do_not_import_scipy():
     assert res.returncode == 0, res.stderr
 
 
+_DENSITY_ABSENT = ("numpy", "counting", "charsums", "representations", "sqrt_expsums")
+_ALL_SUBMODULES = ("charsums", "cli", "counting", "densities", "errors", "modmath", "representations", "sqrt_expsums")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["density", "C", "--lambda", "1", "1", "1", "--p", "5"], _DENSITY_ABSENT),
+    (["density", "B", "--lambda", "1", "1", "2", "--p", "5"], _DENSITY_ABSENT),
+    (["eval-gauss", "1", "0", "5", "1"], ("counting", "representations", "sqrt_expsums")),
+    (INHOM_COUNT + ["--N", "25"], ("charsums", "representations", "sqrt_expsums")),
+    (["expsum-scan", "--p", "3", "--s-range", "2..4", "--trials", "5"], ("counting", "charsums", "representations")),
+    (None, ("numpy", *_ALL_SUBMODULES)),  # a bare `import congruence_lab`
+], ids=["density-C", "density-B", "eval-gauss", "count-direct", "expsum-scan", "bare-import"])
+def test_cold_start_loads_only_what_the_verb_runs(argv, absent):
+    """A fresh interpreter running one verb (or only importing the package)
+    never imports the modules that verb does not use."""
+    if argv is None:
+        run = "import congruence_lab\n"
+    else:
+        run = f"from congruence_lab.cli import main\nassert main({argv + ['--output', '/dev/null']!r}) == 0\n"
+    script = run + "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    names = {m if m == "numpy" else f"congruence_lab.{m}" for m in absent}
+    assert not names & set(json.loads(res.stdout))
+
+
 def test_budget_refusal_of_an_estimate_beyond_float_range():
     res = run_cli(["tau", str(10**700), "--deltas", "1", "1", "--p", "3", "--m", "2", "--N", "10"])
     assert res.returncode == 3

@@ -23,7 +23,6 @@ _EXPORTS = {
             "F_closed",
             "KloostermanClosedForm",
             "cochrane_vanishes",
-            "gauss_difference",
             "gauss_sum_bruteforce",
             "gauss_sum_closed",
             "kloosterman_bruteforce",
@@ -71,8 +70,6 @@ _EXPORTS = {
             "EvenModulus",
             "HypothesisViolated",
             "IndefiniteForm",
-            "LiftMismatch",
-            "NotCoprimeRoot",
             "NotHomogeneous",
             "NotInvertible",
             "TruncationInsufficient",
@@ -85,7 +82,6 @@ _EXPORTS = {
             "RootClassSet",
             "additive_character",
             "epsilon_c",
-            "hensel_lift_sqrt",
             "jacobi_symbol",
             "mod_inverse",
             "mod_pow",

@@ -39,9 +39,9 @@ from .modmath import (
 class ExactCharSum(NamedTuple):
     """Symbolic value rational_factor * sign * eps * sqrt(sqrt_arg) * e(phase).
 
-    ``rational_factor`` is the integer pulled out by the gcd reduction
-    (the factor (a, c), or p^r for Gauss-sum differences).  A zero sum is
-    flagged and every other field is ignored.
+    ``rational_factor`` is the integer pulled out by the gcd reduction,
+    the factor (a, c).  A zero sum is flagged and every other field is
+    ignored.
     """
 
     is_zero: bool
@@ -344,31 +344,6 @@ def cochrane_vanishes(a: int, b: int, alpha: Residue, modulus: PrimePowerModulus
     return True
 
 
-def gauss_difference(h: int, lambda_j: int, k_j: int, modulus: PrimePowerModulus) -> ExactCharSum:
-    """Closed form of G(h*lam, k, p^m) - G(h*lam*p, k, p^(m-1)) for unit lam.
-
-    Zero unless ord_p(h) = ord_p(k) = r <= m - 2; in that case the value is
-    p^r * (h'lam / p^(m-r)) * eps * sqrt(p^(m-r)) * e(-(4h'lam)^{-1} l^2 / p^(m-r))
-    with h = p^r h', k = p^r l.  Only the regime ord_p(k) <= m - 2 (the one
-    the case analysis covers) is evaluated; higher valuations report zero.
-    """
-    p, m, q = modulus.p, modulus.m, modulus.q
-    if m < 2:
-        raise ValidationError("difference form needs m >= 2")
-    if lambda_j % p == 0:
-        raise ValidationError("lambda_j must be a unit mod p")
-    h %= q
-    k_j %= q
-    s = m if h == 0 else valuation(h, p)
-    r = m if k_j == 0 else valuation(k_j, p)
-    if r > m - 2 or s != r:
-        return ZERO_CHAR_SUM
-    c = p ** (m - r)
-    h1 = (h // p**r) % c
-    l1 = (k_j // p**r) % c
-    return gauss_sum_closed(h1 * lambda_j, l1, PrimePowerModulus(p, m - r))._replace(rational_factor=p**r)
-
-
 def F_bruteforce(
     k: tuple[int, ...],
     form: DiagonalForm,
@@ -410,7 +385,7 @@ def _dual_front(form: DiagonalForm, p: int, m: int, r: int) -> complex:
     return eps**form.n * float(p) ** (form.n * (m + r) / 2.0) * twist[math.prod(form.lambdas) % p]
 
 
-def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wdist: np.ndarray) -> complex:
+def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wdist: np.ndarray) -> float:
     """Sum over A mod c = p^(m-r) of wdist[A] * F(p^r l_A), l_A any unit vector
     of dual value A, for units lam_j and 0 <= r <= m - 2.
 
@@ -436,7 +411,7 @@ def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wd
         front *= twist[2 % p]  # (u/c) = (2/c)(k/c)
         pairs *= np.array(twist)[ks % p]
     pairs *= wdist[squares]
-    return complex(front * float(pairs.sum()))  # pairwise: a BLAS dot lost ~3 digits at 5^9
+    return (front * float(pairs.sum())).real  # the front is real; pairwise: a BLAS dot lost ~3 digits at 5^9
 
 
 def F_closed(

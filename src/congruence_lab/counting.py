@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
     charge,
     require_finite_positive,
+    require_int,
     resolve_budget,
 )
 from .modmath import PrimePowerModulus, invmod, residue_dtype
@@ -565,7 +566,7 @@ def count_weighted_spectral(
     t mod p (see _top_frequency_block).
     Frequencies p^r * l are grouped by the value of the dual quadratic form
     mod c = p^(m-r), and each level is one real gather over the units below
-    c/2 (see dual_kernel_level), so imag_residual is 0.
+    c/2 (see dual_kernel_level).
     """
     # the one use of charsums here: a direct count never loads it
     from .charsums import dual_kernel_level
@@ -583,10 +584,11 @@ def count_weighted_spectral(
         raise TruncationInsufficient("weight's Fourier tail never becomes negligible")
     if k_cutoff is None:
         k_cutoff = math.ceil(ycut * q / N)
+    k_cutoff = require_int("k_cutoff", k_cutoff)
     if k_cutoff < 0:
         raise ValidationError("k_cutoff must be non-negative")
 
-    total = 0.0 + 0.0j
+    total = 0.0
     kernel_evals = 0
     axis_points = 0
 
@@ -618,12 +620,11 @@ def count_weighted_spectral(
         total += dual_kernel_level(form, modulus, r, wdist)
 
     U = total * float(N) ** n / float(q) ** (n + 1)
-    T = T0 + U.real
+    T = T0 + U
     ratio = T / T0 if T0 > 0 else math.nan
     cost = {
         "kernel_evals": kernel_evals,
         "axis_points": axis_points,
-        "imag_residual": abs(U.imag),
         "k_cutoff": k_cutoff,
     }
     return CountReport(

@@ -29,14 +29,6 @@ class NotInvertible(ValidationError):
     """gcd(a, modulus) > 1 where an inverse was required."""
 
 
-class NotCoprimeRoot(ValidationError):
-    """A square root coprime to p was required for lifting."""
-
-
-class LiftMismatch(ValidationError):
-    """The supplied root does not solve the congruence it claims to."""
-
-
 class CoprimalityViolated(ValidationError):
     """Form coefficients share a factor with the prime."""
 
@@ -72,6 +64,7 @@ BUDGET_ENV_VAR = "CONGRUENCE_LAB_BUDGET"
 def resolve_budget(budget: int | None = None) -> int:
     """Explicit argument, else the environment override, else the default."""
     if budget is not None:
+        budget = require_int("budget", budget)  # a nan budget would admit every cost
         if budget <= 0:
             raise ValidationError("budget must be positive")
         return budget

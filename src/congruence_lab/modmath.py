@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (
-    EvenModulus,
-    LiftMismatch,
-    NotCoprimeRoot,
-    NotInvertible,
-    ValidationError,
-    require_int,
-)
+from .errors import EvenModulus, NotInvertible, ValidationError, require_int
 
 # numpy is imported inside the five array helpers below, so the scalar
 # arithmetic, which is all the `density` verb runs, never loads it
@@ -113,9 +106,11 @@ class Residue:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
+        modulus = require_int("modulus", self.modulus)
+        if modulus < 1:
             raise ValidationError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "value", require_int("value", self.value) % modulus)
 
 
 def mod_pow(base: Residue, exp: int) -> Residue:
@@ -182,15 +177,15 @@ def sqrt_mod_prime(a: Residue) -> Residue | None:
     return None if w < 0 else Residue(w, a.modulus)
 
 
-def _lift_sqrt(w: int, r: int, p: int, t: int, s: int) -> int:
-    """Lift w with w^2 = r mod p^t to the root mod p^s in w's mod-p class.
+def _lift_sqrt(w: int, r: int, p: int, s: int) -> int:
+    """Lift w with w^2 = r mod p to the root mod p^s in w's mod-p class.
 
     Exponent-doubling: each step corrects by h*p^t with
     h = (2w)^{-1} * (r - w^2)/p^t taken mod p^{t'-t}, doubling t to t'.
     """
-    q_s = p**s
-    r %= q_s
-    cur = w % (p**t)
+    r %= p**s
+    cur = w % p
+    t = 1
     while t < s:
         t2 = min(2 * t, s)
         step = p**t
@@ -302,7 +297,7 @@ def lift_sqrt_array(z: np.ndarray, w: np.ndarray | None, p: int, s: int) -> np.n
     if w is None and (residue_dtype(q) is object or p * p > LIFT_SEED_LIMIT):
         w = prime_tables(p).root[(z % p).astype(np.int64)]
     if residue_dtype(q) is object:
-        roots = (_lift_sqrt(int(wi), int(zi), p, 1, s) for zi, wi in zip(z, w))
+        roots = (_lift_sqrt(int(wi), int(zi), p, s) for zi, wi in zip(z, w))
         return np.fromiter(roots, dtype=object, count=len(z))
     z = np.asarray(z, dtype=np.int64)
     if p * p <= LIFT_SEED_LIMIT:
@@ -318,29 +313,6 @@ def lift_sqrt_array(z: np.ndarray, w: np.ndarray | None, p: int, s: int) -> np.n
         x = y * (3 - z * (y * y % m) % m) % m
         y = (x + (x & 1) * m) >> 1  # x / 2 mod m
     return z * y % q
-
-
-def hensel_lift_sqrt(w: Residue, r: int, target: PrimePowerModulus) -> Residue:
-    """Unique u mod p^s with u^2 = r and u = w mod p, given w^2 = r mod p^t.
-
-    Raises NotCoprimeRoot when p | w and LiftMismatch when w does not solve
-    the congruence at its own level.
-    """
-    p, s = target.p, target.m
-    t = 0
-    mm = w.modulus
-    while mm % p == 0:
-        mm //= p
-        t += 1
-    if mm != 1 or t < 1:
-        raise ValidationError(f"root modulus {w.modulus} is not a power of p={p}")
-    if t > s:
-        raise ValidationError(f"root level p^{t} already exceeds target p^{s}")
-    if w.value % p == 0:
-        raise NotCoprimeRoot(f"root {w.value} shares a factor with p={p}")
-    if (w.value * w.value - r) % w.modulus != 0:
-        raise LiftMismatch(f"{w.value}^2 != {r} mod {w.modulus}")
-    return Residue(_lift_sqrt(w.value, r, p, t, s), target.q)
 
 
 @dataclass(frozen=True)
@@ -390,7 +362,7 @@ def sqrt_classes_mod_prime_power(r: int, modulus: PrimePowerModulus) -> RootClas
     r = 0 mod p^m gives the multiples of p^ceil(m/2).
     """
     p, m, q = modulus.p, modulus.m, modulus.q
-    r0 = r % q
+    r0 = require_int("r", r) % q
     if r0 == 0:
         step = p ** ((m + 1) // 2)
         return RootClassSet(((0, step),), q)
@@ -403,7 +375,7 @@ def sqrt_classes_mod_prime_power(r: int, modulus: PrimePowerModulus) -> RootClas
     w0 = int(prime_tables(p).root[r1 % p])
     if w0 < 0:
         return RootClassSet((), q)
-    w = _lift_sqrt(w0, r1, p, 1, s1) if s1 > 1 else w0
+    w = _lift_sqrt(w0, r1, p, s1)
     step = p ** (m - t)
     scale = p**t
     offsets = sorted({(scale * w) % step, (scale * (p**s1 - w)) % step})

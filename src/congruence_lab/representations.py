@@ -91,6 +91,7 @@ def tau_n(
     """
     dual.require_positive_definite()
     require_finite_positive("N", N)
+    k, r = require_int("k", k), require_int("r", r)
     if k < 0:
         raise ValidationError("k must be non-negative")
     if r < 0:
@@ -553,6 +554,8 @@ def quadruple_count(
     """
     if len(alphas) != 4:
         raise ValidationError("exactly four coefficients are required")
+    alphas = tuple(require_int("alpha", a) for a in alphas)
+    b, c, M = require_int("b", b), require_int("c", c), require_int("M", M)
     if M < 1 or c < 1:
         raise ValidationError("need M >= 1 and c >= 1")
     if 8 * M * M >= c:

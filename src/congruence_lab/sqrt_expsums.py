@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, charge, resolve_budget
+from .errors import ValidationError, charge, require_int, resolve_budget
 from .modmath import TWO_PI, lift_sqrt_array, prime_tables, require_odd_prime, residue_dtype
 
 ROW_TERM_BUDGET = 10**7
@@ -401,6 +401,9 @@ def bound_scan(
     thread pool bought nothing under the GIL.
     """
     require_odd_prime(p)
+    s_values = [require_int("s", s) for s in s_values]
+    trials, seed = require_int("trials", trials), require_int("seed", seed)
+    c_max, k_cap = require_int("c_max", c_max), require_int("k_cap", k_cap)
     if any(s < 2 for s in s_values):
         raise ValidationError("s must be at least 2")
     if trials < 1:

@@ -184,7 +184,7 @@ PINNED_README_SHA256 = {
     "count --mode hom --lambda 1 1 1 1 --p 3 --m 5 --theta 0.6":
         "f7baab43fa0c5c4dccef89779d6f5bc94a4cb7231309ceb4cfedc516c76eca5f",
     "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --method spectral":
-        "b3c0a39da11c1892e9e915ec41d32509c19f931378d5e94d72dec769a0530eb0",
+        "41f7cd0387b95a5c542552fb2a132eda8e8e5f203540d5b2277518b11a6f274e",
     "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..6 --theta 0.6":
         "0b0df1df539866f58a9ed139aa60afa706836efc95bd08f42b1284c37401acba",
     "expsum-scan --p 3 --s-range 2..10 --trials 50 --seed 1 --format csv":

@@ -11,10 +11,11 @@ from congruence_lab.counting import (
     poisson_identity_check,
 )
 from congruence_lab.densities import DiagonalForm
-from congruence_lab.errors import BudgetExceeded, charge
+from congruence_lab.errors import BudgetExceeded, charge, resolve_budget
 from congruence_lab.errors import ValidationError
-from congruence_lab.modmath import PrimePowerModulus
-from congruence_lab.representations import DualForm, singular_integral, tau_n
+from congruence_lab.modmath import PrimePowerModulus, Residue, sqrt_classes_mod_prime_power
+from congruence_lab.representations import DualForm, quadruple_count, singular_integral, tau_n
+from congruence_lab.sqrt_expsums import bound_scan
 
 
 def test_charge_refuses_an_integer_cost_beyond_float_range():
@@ -61,3 +62,38 @@ def test_unknown_mode_or_strategy_is_refused_before_any_charge(kwargs):
     """A budget of one operation would refuse the weight table; the bad option must win."""
     with pytest.raises(ValidationError, match="unknown"):
         count_weighted_direct(_FORM, _MOD, 25.0, _G, budget=1, **kwargs)
+
+
+_TAU_MOD = PrimePowerModulus(3, 5)
+
+# each entry point with one integer argument given as a float; a nan or inf
+# budget used to come back as is, and then admitted every cost
+_INTEGER_ENTRY_POINTS = {
+    "budget nan": ("budget", lambda: resolve_budget(math.nan)),
+    "budget inf": ("budget", lambda: resolve_budget(math.inf)),
+    "budget 1.5": ("budget", lambda: resolve_budget(1.5)),
+    "scan s": ("s", lambda: bound_scan(3, [2.5], 2, 1)),
+    "scan trials": ("trials", lambda: bound_scan(3, [2], 2.0, 1)),
+    "scan seed": ("seed", lambda: bound_scan(3, [2], 2, 1.0)),
+    "scan c_max": ("c_max", lambda: bound_scan(3, [2], 2, 1, c_max=8.5)),
+    "scan k_cap": ("k_cap", lambda: bound_scan(3, [2], 2, 1, k_cap=100.5)),
+    "quadruple alpha": ("alpha", lambda: quadruple_count((1, 1, 1.5, 1), 4, 81, 2)),
+    "quadruple b": ("b", lambda: quadruple_count((1, 1, 1, 1), 4.5, 81, 2)),
+    "quadruple c": ("c", lambda: quadruple_count((1, 1, 1, 1), 4, 81.5, 2)),
+    "quadruple M": ("M", lambda: quadruple_count((1, 1, 1, 1), 4, 81, 2.5)),
+    "tau k": ("k", lambda: tau_n(12.0, DualForm((1, 1)), 0, _G, _TAU_MOD, 10.0)),
+    "tau r": ("r", lambda: tau_n(12, DualForm((1, 1)), 0.5, _G, _TAU_MOD, 10.0)),
+    "residue value": ("value", lambda: Residue(2.5, 7)),
+    "residue modulus": ("modulus", lambda: Residue(2, 7.0)),
+    "root classes r": ("r", lambda: sqrt_classes_mod_prime_power(2.5, _MOD)),
+    "spectral k_cutoff": ("k_cutoff", lambda: count_weighted_spectral(_FORM, _MOD, 25.0, _G, k_cutoff=2.5)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRY_POINTS))
+def test_non_integer_argument_is_refused_by_name(entry):
+    """Each of these used to run on the float, or fail with an exception
+    that did not name it."""
+    name, call = _INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError, match=rf"\b{name} must be an integer"):
+        call()

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab.errors import (
-    EvenModulus,
-    LiftMismatch,
-    NotCoprimeRoot,
-    NotInvertible,
-    ValidationError,
-)
+from congruence_lab.errors import EvenModulus, NotInvertible, ValidationError
 from congruence_lab.modmath import (
     LIFT_SEED_LIMIT,
     PrimePowerModulus,
@@ -19,7 +13,6 @@ from congruence_lab.modmath import (
     RootClassSet,
     additive_character,
     epsilon_c,
-    hensel_lift_sqrt,
     jacobi_symbol,
     lift_sqrt_array,
     mod_inverse,
@@ -135,37 +128,38 @@ def test_sqrt_mod_prime_canonical_and_exhaustive():
                 assert got.value * got.value % p == a
 
 
+def _lift_one(z, w, p, s):
+    """The root mod p^s of z in w's class mod p, from ``lift_sqrt_array``:
+    int64 while p^(2s) < 2^63, Python ints above."""
+    q = p**s
+    z = np.array([z % q], dtype=np.int64 if q < 2**31 else object)
+    return int(lift_sqrt_array(z, np.array([w % p], dtype=np.int64), p, s)[0])
+
+
 def test_hensel_lift_examples():
-    lift = hensel_lift_sqrt(Residue(3, 7), 2, PrimePowerModulus(7, 2))
-    assert lift.value == 10 and 10 * 10 % 49 == 2
+    assert _lift_one(2, 3, 7, 2) == 10 and 10 * 10 % 49 == 2
     assert [u for u in range(49) if u * u % 49 == 2 and u % 7 == 3] == [10]
-    for s in (2, 3, 5):
-        assert hensel_lift_sqrt(Residue(1, 5), 1, PrimePowerModulus(5, s)).value == 1
-    lift27 = hensel_lift_sqrt(Residue(1, 3), 7, PrimePowerModulus(3, 3))
-    assert lift27.value == 13 and 13 * 13 % 27 == 7
-
-
-def test_hensel_lift_errors():
-    with pytest.raises(NotCoprimeRoot):
-        hensel_lift_sqrt(Residue(3, 9), 9, PrimePowerModulus(3, 4))
-    with pytest.raises(LiftMismatch):
-        hensel_lift_sqrt(Residue(2, 7), 3, PrimePowerModulus(7, 3))
+    for s in (2, 3, 5, 30, 60):  # 5^30 and 5^60 on Python ints
+        assert _lift_one(1, 1, 5, s) == 1
+    assert _lift_one(7, 1, 3, 3) == 13 and 13 * 13 % 27 == 7
+    assert sqrt_classes_mod_prime_power(2, PrimePowerModulus(7, 2)).members() == [10, 39]
+    assert sqrt_classes_mod_prime_power(7, PrimePowerModulus(3, 3)).members() == [13, 14]
 
 
 def test_hensel_tower_coherence():
-    """Lifting straight to p^s agrees with stopping at any intermediate level."""
-    for p, s_max in [(3, 10), (5, 7), (7, 5), (11, 4)]:
-        q = p**s_max
-        assert q <= 10**5 * p
+    """Lifting straight to p^s agrees with stopping at any intermediate level,
+    on both sides of the int64 limit."""
+    for p, s_max in [(3, 10), (5, 7), (7, 5), (11, 4), (3, 40), (7, 25)]:
         for r in (2, p + 2, 3 * p + 1):
             if r % p == 0 or jacobi_symbol(r, p) != 1:
                 continue
-            base = sqrt_mod_prime(Residue(r % p, p))
-            top = hensel_lift_sqrt(base, r, PrimePowerModulus(p, s_max))
+            w = sqrt_mod_prime(Residue(r % p, p)).value
+            top = _lift_one(r, w, p, s_max)
             for t in range(1, s_max + 1):
-                part = hensel_lift_sqrt(base, r, PrimePowerModulus(p, t)) if t > 1 else base
-                assert top.value % p**t == part.value
-                assert part.value**2 % p**t == r % p**t
+                part = _lift_one(r, w, p, t)
+                assert top % p**t == part and part % p == w
+                assert part * part % p**t == r % p**t
+                assert part in sqrt_classes_mod_prime_power(r, PrimePowerModulus(p, t))
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 4), (3, 6), (5, 3), (5, 4), (7, 3), (11, 2)])
@@ -248,11 +242,11 @@ def test_hensel_lift_deep_exponent():
     """Lifting all the way to 3^60 stays exact in big-integer arithmetic."""
     target = PrimePowerModulus(3, 60)
     r = 7
-    u = hensel_lift_sqrt(Residue(1, 3), r, target)
-    assert u.value * u.value % target.q == r
-    assert u.value % 3 == 1
+    u = _lift_one(r, 1, 3, 60)
+    assert u * u % target.q == r
+    assert u % 3 == 1
     classes = sqrt_classes_mod_prime_power(r, target)
-    assert classes.count() == 2 and u.value in classes.members()
+    assert classes.count() == 2 and u in classes.members()
 
 
 def test_residue_normalization():
@@ -294,24 +288,18 @@ def test_sqrt_classes_match_exhaustive_squaring(ps, data):
 @settings(max_examples=200, deadline=None)
 @given(_prime_power(), st.data())
 def test_hensel_lift_matches_exhaustive_squaring(ps, data):
+    """The lift of a unit square to p^s, and to a level past the int64 limit
+    reduced mod p^s, is the one root in its class mod p that squaring finds;
+    the root classes hold every root."""
     p, s = ps
-    mod = PrimePowerModulus(p, s)
-    t = data.draw(st.integers(1, s))
-    w = data.draw(st.integers(0, p**t - 1))
-    if data.draw(st.booleans()):  # r with w^2 = r mod p^t, so the lift exists when p does not divide w
-        r = (w * w + p**t * data.draw(st.integers(0, mod.q))) % mod.q
-    else:
-        r = data.draw(st.integers(0, mod.q - 1))
-    if w % p == 0:
-        with pytest.raises(NotCoprimeRoot):
-            hensel_lift_sqrt(Residue(w, p**t), r, mod)
-    elif (w * w - r) % p**t != 0:
-        with pytest.raises(LiftMismatch):
-            hensel_lift_sqrt(Residue(w, p**t), r, mod)
-    else:
-        lift = hensel_lift_sqrt(Residue(w, p**t), r, mod)
-        assert lift.modulus == mod.q
-        assert [u for u in range(mod.q) if u * u % mod.q == r and u % p == w % p] == [lift.value]
+    q = p**s
+    x = data.draw(st.integers(1, q - 1).filter(lambda x: x % p))
+    deep = math.ceil(32 / math.log2(p)) + s  # p^(2 deep) > 2^63: the Python-int lift
+    r = (x * x + q * data.draw(st.integers(0, p ** (deep - s) - 1))) % p**deep
+    w = x % p if data.draw(st.booleans()) else -x % p
+    roots = [u for u in range(q) if u * u % q == r % q]
+    assert [u for u in roots if u % p == w] == [_lift_one(r, w, p, s)] == [_lift_one(r, w, p, deep) % q]
+    assert sqrt_classes_mod_prime_power(r, PrimePowerModulus(p, s)).members() == roots
 
 
 ODD_PRIMES_BELOW_50 = ODD_PRIMES_BELOW_30 + [31, 37, 41, 43, 47]

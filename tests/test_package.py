@@ -11,6 +11,27 @@ import congruence_lab
 
 SUBMODULES = ("charsums", "counting", "densities", "errors", "modmath", "representations", "sqrt_expsums")
 
+# the public API, pinned so that adding or removing a name is a deliberate edit here
+PUBLIC_NAMES = {
+    "BoundScanRow", "BudgetExceeded", "CongruenceLabError", "CoprimalityViolated", "CountReport",
+    "DensityValue", "DiagonalForm", "DualForm", "EvenModulus", "ExactCharSum", "F_bruteforce",
+    "F_closed", "HypothesisViolated", "IndefiniteForm", "KloostermanClosedForm", "NOT_ALL_ZERO",
+    "NotHomogeneous", "NotInvertible", "PrimePowerModulus", "Residue", "RootClassSet", "SingularData",
+    "SqrtSumParams", "TruncationInsufficient", "UNIT_COORDS", "UnsupportedCase", "ValidationError",
+    "WeightSpec", "additive_character", "bound_scan", "bump_pair_weight", "cochrane_vanishes",
+    "count_B_m", "count_weighted_direct", "count_weighted_spectral", "density_A", "density_B",
+    "epsilon_c", "gauss_sum_bruteforce", "gauss_sum_closed", "gaussian_weight",
+    "hensel_stability_report", "jacobi_symbol", "kloosterman_bruteforce", "kloosterman_closed",
+    "mod_inverse", "mod_pow", "poisson_identity_check", "quadruple_count", "salie_bruteforce",
+    "salie_closed", "sharp_cutoff_weight", "singular_coefficient", "singular_integral",
+    "singular_series", "sqrt_classes_mod_prime_power", "sqrt_mod_prime", "sqrt_root_sum", "tau_n",
+    "ternary_C_p", "weight_eval", "weight_fourier",
+}
+
+
+def test_public_names_are_pinned():
+    assert congruence_lab.__all__ == sorted(PUBLIC_NAMES)
+
 
 @pytest.mark.parametrize("name", congruence_lab.__all__)
 def test_public_name_is_the_object_of_its_submodule(name):

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .densities import DiagonalForm
-from .errors import UnsupportedCase, ValidationError, charge, resolve_budget
+from .errors import UnsupportedCase, ValidationError, charge, require_int, resolve_budget
 from .modmath import (
     PrimePowerModulus,
     Residue,
@@ -327,6 +327,7 @@ def cochrane_vanishes(a: int, b: int, alpha: Residue, modulus: PrimePowerModulus
     the criterion is inconclusive, not that the sum is nonzero.
     """
     p, n = modulus.p, modulus.m
+    a, b = require_int("a", a), require_int("b", b)
     if alpha.modulus != p:
         raise ValidationError("alpha must be a residue mod p")
     if alpha.value % p == 0:
@@ -427,6 +428,7 @@ def F_closed(
     or Salie (n odd) sum: one root pair, no table.
     """
     p, m, n = modulus.p, modulus.m, form.n
+    r, l = require_int("r", r), tuple(require_int("l_j", lj) for lj in l)
     if len(l) != n:
         raise ValidationError("frequency vector length must match the form")
     if not 0 <= r <= m - 2:

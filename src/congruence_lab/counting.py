@@ -322,6 +322,7 @@ def poisson_identity_check(
     could exceed 1e-10.
     """
     require_finite_positive("N", N)
+    q, a, truncation = require_int("q", q), require_int("a", a), require_int("truncation", truncation)
     if q < 1 or truncation < 1:
         raise ValidationError("need q >= 1, truncation >= 1")
     M = truncation * q

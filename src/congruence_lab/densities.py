@@ -218,7 +218,7 @@ def hensel_stability_report(
     Nonsingularity mod p makes every entry equal; any drift flags a bug.
     """
     require_odd_prime(p)
-    if m_max < 1:
+    if require_int("m_max", m_max) < 1:
         raise ValidationError("m_max must be at least 1")
     out = []
     for m in range(1, m_max + 1):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EvenModulus, NotInvertible, ValidationError, require_int
 
-# numpy is imported inside the five array helpers below, so the scalar
+# numpy is imported inside the six array helpers below, so the scalar
 # arithmetic, which is all the `density` verb runs, never loads it
 if TYPE_CHECKING:
     import numpy as np
@@ -177,26 +177,6 @@ def sqrt_mod_prime(a: Residue) -> Residue | None:
     return None if w < 0 else Residue(w, a.modulus)
 
 
-def _lift_sqrt(w: int, r: int, p: int, s: int) -> int:
-    """Lift w with w^2 = r mod p to the root mod p^s in w's mod-p class.
-
-    Exponent-doubling: each step corrects by h*p^t with
-    h = (2w)^{-1} * (r - w^2)/p^t taken mod p^{t'-t}, doubling t to t'.
-    """
-    r %= p**s
-    cur = w % p
-    t = 1
-    while t < s:
-        t2 = min(2 * t, s)
-        step = p**t
-        gap = p ** (t2 - t)
-        delta = (r - cur * cur) // step
-        h = (delta * invmod((2 * cur) % gap, gap)) % gap
-        cur = (cur + h * step) % (p**t2)
-        t = t2
-    return cur
-
-
 def residue_dtype(m: int) -> type:
     """Array dtype for residues mod m: int64 while a product of two residues
     fits (m^2 < 2^63), else object, holding exact Python ints."""
@@ -208,34 +188,29 @@ def residue_dtype(m: int) -> type:
 class PrimeTables(NamedTuple):
     """Read-only int64 tables over the residues x mod p.
 
-    ``legendre[x]`` is (x/p), ``root[x]`` the canonical square root in
-    [0, p/2] (-1 for non-residues) and ``inverse[x]`` is x^{-1} (0 at x = 0).
+    ``legendre[x]`` is (x/p) and ``root[x]`` the canonical square root in
+    [0, p/2] (-1 for non-residues).
     """
 
     legendre: np.ndarray
     root: np.ndarray
-    inverse: np.ndarray
 
 
 @lru_cache(maxsize=8)
 def prime_tables(p: int) -> PrimeTables:
-    """Legendre, canonical-root and inverse tables mod the odd prime p."""
+    """Legendre and canonical-root tables mod the odd prime p."""
     import numpy as np
 
     require_odd_prime(p)
-    if residue_dtype(p) is object:
-        raise ValidationError(f"tables mod p={p} need p^2 < 2^63")
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     root = np.full(p, -1, dtype=np.int64)
     root[0] = 0
     root[half * half % p] = half  # the squares of 1..(p-1)/2 are distinct
     legendre = np.where(root > 0, 1, -1)
     legendre[0] = 0
-    inverse = np.zeros(p, dtype=np.int64)
-    inverse[1:] = _pow_array(np.arange(1, p, dtype=np.int64), p - 2, p)
-    for table in (legendre, root, inverse):
+    for table in (legendre, root):
         table.flags.writeable = False
-    return PrimeTables(legendre, root, inverse)
+    return PrimeTables(legendre, root)
 
 
 def _pow_array(x: np.ndarray, e: int, m: int) -> np.ndarray:
@@ -252,15 +227,17 @@ def _pow_array(x: np.ndarray, e: int, m: int) -> np.ndarray:
 
 
 # Newton's lift starts from a table of inverse square roots mod the largest
-# p^t0 <= LIFT_SEED_LIMIT, which holds at most 2^14 int64 entries (128 KiB)
+# p^t0 <= LIFT_SEED_LIMIT, which holds at most 2^14 int64 entries (128 KiB);
+# once p^2 > LIFT_SEED_LIMIT the table is mod p itself (t0 = 1), up to 2^20
+# entries (8 MiB) for the largest p below MAX_PRIME
 LIFT_SEED_LIMIT = 1 << 14
 
 
 @lru_cache(maxsize=8)
 def _inverse_sqrt_seed(p: int) -> tuple[int, np.ndarray]:
-    """(t0, table) for p^2 <= LIFT_SEED_LIMIT: p^t0 is the largest power of p
-    up to the limit, and table[z] is one inverse square root of every unit
-    square z mod p^t0 (0 elsewhere)."""
+    """(t0, table): p^t0 is the largest power of p up to LIFT_SEED_LIMIT, or
+    p when p^2 exceeds it, and table[z] is one inverse square root of every
+    unit square z mod p^t0 (0 elsewhere)."""
     import numpy as np
 
     t0 = 1
@@ -282,31 +259,23 @@ def lift_sqrt_array(z: np.ndarray, w: np.ndarray | None, p: int, s: int) -> np.n
     ``z`` holds units in [0, p^s) that are squares mod p and ``w`` their
     roots in [0, p).  Newton's inverse-square-root step
     y <- y (3 - z y^2) / 2 doubles the precision of y = 1/sqrt(z), and
-    u = z y.  For p^2 <= LIFT_SEED_LIMIT y starts mod p^t0 from the cached
-    ``_inverse_sqrt_seed`` table entry of z, negated unless y = w^{-1} mod p
-    (for odd p a unit square mod p is a square mod every p^t, so the entry
-    exists), and no step runs for s <= t0; for larger p y starts from
-    w^{-1} mod p, w the canonical root when none is given.  The arithmetic
-    is int64 while p^(2s) < 2^63, reducing after every product and halving
-    mod the odd p^t by a shift; above that each element goes through the
-    scalar ``_lift_sqrt`` and the result holds Python ints.
+    u = z y.  y starts mod p^t0 from the cached ``_inverse_sqrt_seed``
+    table entry of z, negated unless y = w^{-1} mod p (for odd p a unit
+    square mod p is a square mod every p^t, so the entry exists), and no
+    step runs for s <= t0.  The arithmetic runs in ``residue_dtype(p^s)``,
+    reducing after every product and halving mod the odd p^t by a shift:
+    int64 while p^(2s) < 2^63, and the same steps on Python ints in an
+    object array above that.
     """
     import numpy as np
 
     q = p**s
-    if w is None and (residue_dtype(q) is object or p * p > LIFT_SEED_LIMIT):
-        w = prime_tables(p).root[(z % p).astype(np.int64)]
-    if residue_dtype(q) is object:
-        roots = (_lift_sqrt(int(wi), int(zi), p, s) for zi, wi in zip(z, w))
-        return np.fromiter(roots, dtype=object, count=len(z))
-    z = np.asarray(z, dtype=np.int64)
-    if p * p <= LIFT_SEED_LIMIT:
-        t, table = _inverse_sqrt_seed(p)
-        y = table[z % p**t]
-        if w is not None:
-            y = np.where(y * w % p == 1, y, p**t - y)
-    else:
-        t, y = 1, prime_tables(p).inverse[w]
+    z = np.asarray(z, dtype=residue_dtype(q))
+    t, table = _inverse_sqrt_seed(p)
+    y = table[(z % p**t).astype(np.int64, copy=False)]
+    if w is not None:
+        y = np.where(y * w % p == 1, y, p**t - y)
+    y = y.astype(z.dtype, copy=False)
     while t < s:
         t = min(2 * t, s)
         m = p**t
@@ -361,6 +330,8 @@ def sqrt_classes_mod_prime_power(r: int, modulus: PrimePowerModulus) -> RootClas
     p^t * (+-v + p^(m-2t) Z); an odd power of p leaves no solutions, and
     r = 0 mod p^m gives the multiples of p^ceil(m/2).
     """
+    import numpy as np
+
     p, m, q = modulus.p, modulus.m, modulus.q
     r0 = require_int("r", r) % q
     if r0 == 0:
@@ -375,7 +346,7 @@ def sqrt_classes_mod_prime_power(r: int, modulus: PrimePowerModulus) -> RootClas
     w0 = int(prime_tables(p).root[r1 % p])
     if w0 < 0:
         return RootClassSet((), q)
-    w = _lift_sqrt(w0, r1, p, s1)
+    w = int(lift_sqrt_array(np.array([r1], dtype=object), np.array([w0]), p, s1)[0])
     step = p ** (m - t)
     scale = p**t
     offsets = sorted({(scale * w) % step, (scale * (p**s1 - w)) % step})

@@ -10,12 +10,13 @@ Sums are evaluated in batches over the terms they keep: k * Lambda mod p
 depends only on the index of k in its progression mod p, so a small table
 per row lists which k have roots in the row's class, in increasing order.
 Only those terms of the rows with the same p and s run through one array
-pass per chunk, with the roots from the vectorized int64 lift
-``modmath.lift_sqrt_array`` and the characters added per row by
-``np.bincount`` in k order.  An aggregate row takes both roots u and q - u
-of each k at once, as one real cosine or sine of the smaller one, so its
-real or its imaginary part is exactly zero.  Rows travel as int64 columns,
-checked a window at a time, and become ``SqrtSumParams`` only at the end.
+pass per chunk, with the roots from the one Newton lift
+``modmath.lift_sqrt_array`` (int64, or Python ints once p^(2s) >= 2^63)
+and the characters added per row by ``np.bincount`` in k order.  An
+aggregate row takes both roots u and q - u of each k at once, as one real
+cosine or sine of the smaller one, so its real or its imaginary part is
+exactly zero.  Rows travel as int64 columns, checked a window at a time,
+and become ``SqrtSumParams`` only at the end.
 """
 
 from __future__ import annotations
@@ -249,9 +250,10 @@ def sqrt_root_sum(params: SqrtSumParams) -> complex:
     Iterates k = b mod c with 0 < k <= K and (k, p) = 1; the roots of
     k * Lambda mod p^s come from one ``lift_sqrt_array`` call per chunk of
     the k that have roots in the row's class (a Newton inverse-square-root
-    lift seeded from a table mod p^t0, O(log(s / t0)) array products).  This
-    is the one-row case of the batched evaluation that ``bound_scan`` runs
-    over whole groups of rows.
+    lift seeded from a table mod p^t0, or mod p once p^2 > 2^14, with
+    O(log(s / t0)) array products in int64 or Python ints).  This is the
+    one-row case of the batched evaluation that ``bound_scan`` runs over
+    whole groups of rows.
     """
     return _root_sums(params.p, params.s, _columns([params]))[0]
 

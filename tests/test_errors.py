@@ -10,7 +10,8 @@ from congruence_lab.counting import (
     gaussian_weight,
     poisson_identity_check,
 )
-from congruence_lab.densities import DiagonalForm
+from congruence_lab.charsums import F_closed, cochrane_vanishes
+from congruence_lab.densities import DiagonalForm, hensel_stability_report
 from congruence_lab.errors import BudgetExceeded, charge, resolve_budget
 from congruence_lab.errors import ValidationError
 from congruence_lab.modmath import PrimePowerModulus, Residue, sqrt_classes_mod_prime_power
@@ -65,6 +66,7 @@ def test_unknown_mode_or_strategy_is_refused_before_any_charge(kwargs):
 
 
 _TAU_MOD = PrimePowerModulus(3, 5)
+_MOD_125 = PrimePowerModulus(5, 3)
 
 # each entry point with one integer argument given as a float; a nan or inf
 # budget used to come back as is, and then admitted every cost
@@ -87,6 +89,14 @@ _INTEGER_ENTRY_POINTS = {
     "residue modulus": ("modulus", lambda: Residue(2, 7.0)),
     "root classes r": ("r", lambda: sqrt_classes_mod_prime_power(2.5, _MOD)),
     "spectral k_cutoff": ("k_cutoff", lambda: count_weighted_spectral(_FORM, _MOD, 25.0, _G, k_cutoff=2.5)),
+    "poisson q": ("q", lambda: poisson_identity_check(_G, 5.0, 2, 10.0, 60)),
+    "poisson a": ("a", lambda: poisson_identity_check(_G, 5, 2.5, 10.0, 60)),
+    "poisson truncation": ("truncation", lambda: poisson_identity_check(_G, 5, 2, 10.0, 60.5)),
+    "cochrane a": ("a", lambda: cochrane_vanishes(2.5, 1, Residue(1, 5), _MOD_125)),
+    "cochrane b": ("b", lambda: cochrane_vanishes(1, 2.5, Residue(1, 5), _MOD_125)),
+    "hensel m_max": ("m_max", lambda: hensel_stability_report(_FORM, 5, 2.5)),
+    "F_closed r": ("r", lambda: F_closed(0.5, (1, 1, 1), _FORM, _MOD_125)),
+    "F_closed l_j": ("l_j", lambda: F_closed(0, (1, 1.5, 1), _FORM, _MOD_125)),
 }
 
 

@@ -306,30 +306,31 @@ ODD_PRIMES_BELOW_50 = ODD_PRIMES_BELOW_30 + [31, 37, 41, 43, 47]
 
 
 def _check_array_lift(p, s, xs, flips):
-    """Lift z = x^2 from the root x or -x mod p, and with no root given;
-    compare with the root classes."""
+    """Lift z = x^2 from the root x or -x mod p, and with no root given, from
+    z held as int64 (while q < 2^63) and as Python ints; compare with the
+    root classes."""
     q = p**s
     mod = PrimePowerModulus(p, s)
     z = [x * x % q for x in xs]
     w = [(-x if flip else x) % p for x, flip in zip(xs, flips)]
-    dtype = np.int64 if q < 2**31 else object  # as a caller holding q-sized residues would
-    got = lift_sqrt_array(np.array(z, dtype=dtype), np.array(w, dtype=np.int64), p, s)
-    assert got.dtype == (np.int64 if q * q < 2**63 else object)
-    assert len(got) == len(z)
-    for u, zi, wi in zip(got, z, w):
-        u = int(u)
-        assert u * u % q == zi and u % p == wi
-        assert [r for r in sqrt_classes_mod_prime_power(zi, mod).members() if r % p == wi] == [u]
-    # without w, either root: the one in w's class or its negative
-    either = lift_sqrt_array(np.array(z, dtype=dtype), None, p, s)
-    assert either.dtype == got.dtype
-    for u, v in zip(either.tolist(), got.tolist()):
-        assert int(u) in (int(v), q - int(v))
+    for dtype in (np.int64, object) if q < 2**63 else (object,):
+        got = lift_sqrt_array(np.array(z, dtype=dtype), np.array(w, dtype=np.int64), p, s)
+        assert got.dtype == (np.int64 if q * q < 2**63 else object)
+        assert len(got) == len(z)
+        for u, zi, wi in zip(got, z, w):
+            u = int(u)
+            assert u * u % q == zi and u % p == wi
+            assert [r for r in sqrt_classes_mod_prime_power(zi, mod).members() if r % p == wi] == [u]
+        # without w, either root: the one in w's class or its negative
+        either = lift_sqrt_array(np.array(z, dtype=dtype), None, p, s)
+        assert either.dtype == got.dtype
+        for u, v in zip(either.tolist(), got.tolist()):
+            assert int(u) in (int(v), q - int(v))
 
 
 @st.composite
 def _array_lift_args(draw):
-    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50 + [131]))  # 131^2 > LIFT_SEED_LIMIT: the seed is w^-1 mod p
+    p = draw(st.sampled_from(ODD_PRIMES_BELOW_50 + [131]))  # 131^2 > LIFT_SEED_LIMIT: the seed table is mod p
     t0 = max(t for t in range(1, 15) if p**t <= LIFT_SEED_LIMIT)
     # s on both sides of the seed level t0, and p^s < 2^90: both sides of the int64 limit
     s = draw(st.integers(1, t0 + 1) | st.integers(1, int(90 / math.log2(p))))
@@ -343,9 +344,11 @@ def test_array_lift_matches_root_classes(args):
     _check_array_lift(*args)
 
 
-@pytest.mark.parametrize("p,s", [(3, 19), (3, 20), (7, 12)])
+@pytest.mark.parametrize("p,s", [(3, 19), (3, 20), (7, 12), (16411, 2), (16411, 3), (1048573, 2)])
 def test_array_lift_on_both_sides_of_the_int64_limit(p, s):
-    # 3^19 squared is below 2^63 and runs in int64; 3^20 and 7^12 take the scalar fallback
+    # 3^19 and 16411^2 squared are below 2^63 and run in int64; 3^20, 7^12,
+    # 16411^3 and 1048573^2 run the same steps on Python ints.  16411 and
+    # 1048573 lie past the seed limit, so their seed table is mod p.
     q = p**s
     xs = [x for x in (1, 2, p + 1, q // 3 + 1, q // 2, q - 2, q - 1) if x % p]
     _check_array_lift(p, s, xs, [i % 2 == 1 for i in range(len(xs))])
@@ -357,5 +360,4 @@ def test_prime_tables_match_scalar_primitives(p):
     assert tables.legendre.tolist() == [jacobi_symbol(x, p) for x in range(p)]
     want_root = [min(sqrt_oracle(x, p), default=-1) for x in range(p)]
     assert tables.root.tolist() == want_root
-    assert tables.inverse.tolist() == [0] + [pow(x, -1, p) for x in range(1, p)]
     assert not tables.root.flags.writeable

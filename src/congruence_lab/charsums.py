@@ -6,15 +6,15 @@ patterns, and express the remainder as sign * eps * sqrt(c) * root of unity,
 so the two routes can be compared exactly in tests.
 
 A modulus has few distinct closed values (about 1.1 q Gauss sums), so for
-moduli up to 2048 the closed forms hand out one shared tuple per value, with
-its complex value computed once; see ``_share``.
+moduli up to 2048 the closed forms hand out one shared tuple per value: it
+sits in a phase table, a list indexed by the one field that b moves, and
+carries its complex value; see ``_phase_table``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -53,19 +53,12 @@ class ExactCharSum(NamedTuple):
     phase_den: int = 1
 
     def to_complex(self) -> complex:
-        # a value the closed forms shared was evaluated once, by this body, in _share
-        shared = _shared_complex.get(id(self))
-        if shared is not None:
-            return shared[1]
         is_zero, factor, sign, eps, sqrt_arg, phase_num, phase_den = self
         if is_zero:
             return 0.0 + 0.0j
         if phase_den < 1:
             raise ValidationError("q must be positive")
         return factor * sign * eps * math.sqrt(sqrt_arg) * unit_root(phase_num % phase_den, phase_den)
-
-
-ZERO_CHAR_SUM = ExactCharSum(is_zero=True)
 
 
 class KloostermanClosedForm(NamedTuple):
@@ -82,10 +75,6 @@ class KloostermanClosedForm(NamedTuple):
     terms: tuple[tuple[complex, int], ...] = ()
 
     def to_complex(self) -> complex:
-        # a value the closed forms shared was evaluated once, by this body, in _share
-        shared = _shared_complex.get(id(self))
-        if shared is not None:
-            return shared[1]
         is_zero, p, s, terms = self
         if is_zero:
             return 0.0 + 0.0j
@@ -100,7 +89,37 @@ class KloostermanClosedForm(NamedTuple):
         return scale * total
 
 
+class _Shared:
+    """Mixin for a closed value built once for a phase table: it carries its
+    complex value, and its repr, copies, pickles and ``_make``/``_replace``
+    results are those of the NamedTuple ``_plain`` it extends."""
+
+    @classmethod
+    def _build(cls, fields: tuple):
+        value = tuple.__new__(cls, fields)
+        value._complex = cls._plain.to_complex(value)
+        return value
+
+    def to_complex(self) -> complex:
+        return self._complex
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls._plain._make(iterable)
+
+    def __repr__(self) -> str:
+        return repr(self._plain._make(self))
+
+    def __reduce__(self):
+        return self._plain, tuple(self)
+
+
+_SharedCharSum = type("_SharedCharSum", (_Shared, ExactCharSum), {"_plain": ExactCharSum})
+_SharedKloosterman = type("_SharedKloosterman", (_Shared, KloostermanClosedForm), {"_plain": KloostermanClosedForm})
+ZERO_CHAR_SUM = ExactCharSum(is_zero=True)
 ZERO_KLOOSTERMAN = KloostermanClosedForm(is_zero=True)
+_SHARED_ZERO_CHAR_SUM = _SharedCharSum._build(ZERO_CHAR_SUM)
+_SHARED_ZERO_KLOOSTERMAN = _SharedKloosterman._build(ZERO_KLOOSTERMAN)
 
 
 def _phase_array(c: int) -> np.ndarray:
@@ -122,54 +141,45 @@ def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
 # p^m <= 4096 stays cached; the bound keeps memory fixed on wider sweeps.
 _CACHE_SIZE = 4096
 
-# Shared closed values: each table maps an integer key that fixes every
-# field to the one tuple handed out for it, and _shared_complex maps the id
-# of each such tuple to (the tuple, its to_complex()).  Holding the tuple
-# keeps its id from being reused while the entry exists, and keying by
-# identity lets only tuples the closed forms built read a stored value: a
-# tuple-keyed cache would give a hand-built tuple that compares equal (say
-# with eps = complex(1, -0.0)) the signed zeros of another.
-#
 # A modulus q has at most ~1.2 q distinct Gauss and ~1.3 q distinct
-# Kloosterman/Salie values (counted over full (a, b) grids up to 31^2), so
-# up to _SHARED_MAX_Q a table holds every value of the modulus it sweeps.
-# Values of larger moduli are built per call as before: sharing them would
-# empty the table over and over (five rows mod 5^6 took 1.9x as long).
+# Kloosterman/Salie values (counted over full (a, b) grids up to 31^2), so up
+# to _SHARED_MAX_Q each value is built once and kept in a phase table.  Larger
+# moduli build their values per call: keeping them would empty the tables over
+# and over (five rows mod 5^6 took 1.9x as long).
 _SHARED_MAX_Q = _CACHE_SIZE // 2
-_shared_gauss: dict[int, ExactCharSum] = {}
-_shared_kloosterman: dict[int, KloostermanClosedForm] = {}
-_shared_complex: dict[int, tuple[tuple, complex]] = {}
-_share_lock = threading.Lock()
 
 
-def _share(table: dict, key: int, value) -> None:
-    """Keep ``value`` as the one instance for ``key``, with its complex value.
-    A full table (_CACHE_SIZE values) is emptied first, so memory stays
-    bounded and a long-lived process keeps sharing the values of the moduli
-    it sweeps now, not only of the first ones it met."""
-    with _share_lock:
-        if key not in table:
-            if len(table) >= _CACHE_SIZE:
-                for old in table.values():
-                    del _shared_complex[id(old)]
-                table.clear()
-            _shared_complex[id(value)] = (value, value.to_complex())
-            table[key] = value
+def _phase_table(tables: dict[tuple, list], key: tuple, size: int, holder) -> list:
+    """The phase table for key in one family's tables, made with size empty
+    slots on first use.  A family holds at most _CACHE_SIZE slots: a table that
+    would pass that first empties it and ``holder``, the cache that holds its
+    tables, so a long-lived process keeps sharing the values of the moduli it
+    sweeps now.  No lock is taken: a race can only build two equal values, or
+    leave the holder a table that the next emptying drops."""
+    table = tables.get(key)
+    if table is None:
+        if sum(map(len, tables.values())) + size > _CACHE_SIZE:
+            tables.clear()
+            holder.cache_clear()
+        table = tables.setdefault(key, [None] * size)
+    return table
+
+
+_gauss_tables: dict[tuple[int, int, int], list] = {}
+_kloosterman_tables: dict[tuple[int, bool], list] = {}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int, int]:
-    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c', base) for 0 <= a < c, where
+def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int, list | None]:
+    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c', values) for 0 <= a < c, where
     d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b.
-    At a = 0 this is (c, 1, 1, 1, 0, base), the linear sum's c * e(0).
-
-    base + phase, for a phase 0 <= t < c', is the shared-value key of
-    (c, c', sign, t): ((2c + [sign = 1]) c + c') c + t lies in
-    [2c^3 + c, 2c^3 + 2c^2 + c), so keys of different c never meet."""
+    At a = 0 this is (c, 1, 1, 1, 0, values), the linear sum's c * e(0).
+    values is the phase table of (c, c', sign), None for c > _SHARED_MAX_Q."""
     d = math.gcd(a, c)
     a1, c1 = a // d, c // d
     sign = jacobi_symbol(a1, c1)
-    return d, c1, sign, epsilon_c(c1), invmod(4 * a1, c1), ((2 * c + (sign == 1)) * c + c1) * c
+    values = _phase_table(_gauss_tables, (c, c1, sign), c1, _gauss_unit_part) if c <= _SHARED_MAX_Q else None
+    return d, c1, sign, epsilon_c(c1), invmod(4 * a1, c1), values
 
 
 def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum:
@@ -179,23 +189,24 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     and otherwise equals d * (a'/c') * eps_{c'} * sqrt(c') * e(-(4a')^{-1} b'^2 / c').
     At c | a that is the linear sum, c when c | b.  The part that does not
     depend on b is cached per (a mod c, c), and for c <= 2048 equal values
-    are one shared tuple.
+    are one shared tuple, found by its phase.
     """
     if type(a) is not int or type(b) is not int:
         a, b = operator.index(a), operator.index(b)
     c = modulus.q
-    d, c1, sign, eps, inv_4a1, base = _gauss_unit_part(a % c, c)
-    b %= c
-    if b % d:
-        return ZERO_CHAR_SUM
-    b1 = b // d
-    phase = (-inv_4a1 * b1 * b1) % c1
-    value = _shared_gauss.get(base + phase)
-    if value is None:
+    d, c1, sign, eps, inv_4a1, values = _gauss_unit_part(a % c, c)
+    if d != 1:
+        b %= c
+        if b % d:
+            return _SHARED_ZERO_CHAR_SUM
+        b //= d
+    phase = (-inv_4a1 * b * b) % c1
+    if values is None:
         # tuple.__new__ skips the NamedTuple's Python-level __new__
-        value = tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, phase, c1))
-        if c <= _SHARED_MAX_Q:
-            _share(_shared_gauss, base + phase, value)
+        return tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, phase, c1))
+    value = values[phase]
+    if value is None:
+        value = values[phase] = _SharedCharSum._build((False, d, sign, eps, c1, phase, c1))
     return value
 
 
@@ -243,13 +254,17 @@ def _sqrt_roots(r: int, p: int, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...]]:
-    """(eps_c, flip, ((x/c) = (x/p)^m for x mod p)) at c = p^m: the roots v, c - v
-    of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed K0/K1 body,
-    with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1 for K1."""
+def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...], list | None]:
+    """(eps_c, flip, ((x/c) = (x/p)^m for x mod p), values) at c = p^m: the roots
+    v, c - v of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed
+    K0/K1 body, with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1
+    for K1.  values is the phase table of (c, twisted), None for c > _SHARED_MAX_Q:
+    slot v holds root v < c/2 with sign 1, slot c - v the same root with sign -1."""
     c = p**m
     twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
-    return epsilon_c(c), 1 if twisted else jacobi_symbol(-1, c), twist
+    values = (_phase_table(_kloosterman_tables, (c, twisted), c, _kloosterman_modulus_part)
+              if c <= _SHARED_MAX_Q else None)
+    return epsilon_c(c), 1 if twisted else jacobi_symbol(-1, c), twist, values
 
 
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
@@ -270,24 +285,20 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     pa, pb = a % p == 0, b % p == 0
     if pa and pb:
         raise UnsupportedCase("p divides both arguments; use the brute-force sum")
-    if pa or pb:
-        return ZERO_KLOOSTERMAN
-    roots = _sqrt_roots(a * b % c, p, m)
+    roots = () if pa or pb else _sqrt_roots(a * b % c, p, m)
     if not roots:
-        return ZERO_KLOOSTERMAN
-    v = roots[0]  # the roots are v and c - v
-    eps, flip, twist = _kloosterman_modulus_part(p, m, twisted)
+        return _SHARED_ZERO_KLOOSTERMAN
+    v = roots[0]  # the roots are v < c/2 and c - v
+    eps, flip, twist, values = _kloosterman_modulus_part(p, m, twisted)
     sign = twist[(b if twisted else v) % p]
-    # eps is fixed by c, and (4c + 2[flip = 1] + [sign = 1]) c + v lies in
-    # [4c^2, 4c^2 + 4c), so the key fixes the value and never meets another c's
-    key = (4 * c + 2 * (flip == 1) + (sign == 1)) * c + v
-    value = _shared_kloosterman.get(key)
+    slot = v if sign == 1 else c - v
+    value = None if values is None else values[slot]
     if value is None:
         # grouping sign * (eps * flip) keeps the signed zeros of the reported coefficients
         terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
-        value = tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
-        if c <= _SHARED_MAX_Q:
-            _share(_shared_kloosterman, key, value)
+        if values is None:
+            return tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
+        value = values[slot] = _SharedKloosterman._build((False, p, m, terms))
     return value
 
 
@@ -382,7 +393,7 @@ def F_bruteforce(
 def _dual_front(form: DiagonalForm, p: int, m: int, r: int) -> complex:
     """eps_c^n p^(n(m+r)/2) (lam_1...lam_n / c) at c = p^(m-r): the factor in
     front of the Kloosterman/Salie sum in F(p^r l) (see ``F_closed``)."""
-    eps, _, twist = _kloosterman_modulus_part(p, m - r, form.n % 2 == 1)
+    eps, _, twist, _ = _kloosterman_modulus_part(p, m - r, form.n % 2 == 1)
     return eps**form.n * float(p) ** (form.n * (m + r) / 2.0) * twist[math.prod(form.lambdas) % p]
 
 
@@ -398,7 +409,7 @@ def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wd
     """
     p, m, n = modulus.p, modulus.m, form.n
     c = p ** (m - r)
-    eps, flip, twist = _kloosterman_modulus_part(p, m - r, n % 2 == 1)
+    eps, flip, twist, _ = _kloosterman_modulus_part(p, m - r, n % 2 == 1)
     sine = flip == -1
     front = _dual_front(form, p, m, r) * eps * (2.0 * math.sqrt(c)) * (1j if sine else 1)
     ks = np.delete(np.arange(1, c // 2 + 1, dtype=np.int64), np.s_[p - 1::p])  # the units k < c/2

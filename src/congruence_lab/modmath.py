@@ -52,8 +52,10 @@ def _small_prime(p: int) -> bool:
 
 
 def require_odd_prime(p: int) -> None:
-    """Raise ValidationError unless p is an odd prime below MAX_PRIME (2^20):
-    tables of length p stay small and trial division stays fast."""
+    """Raise ValidationError unless p is an integer, not a float equal to one, and
+    an odd prime below MAX_PRIME (2^20): tables of length p stay small and trial
+    division stays fast."""
+    p = require_int("p", p)
     if p >= MAX_PRIME or p < 3 or p % 2 == 0 or not _small_prime(p):
         raise ValidationError(f"p={p} must be an odd prime below 2^20")
 

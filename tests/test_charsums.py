@@ -1,5 +1,7 @@
 import cmath
+import copy
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -491,36 +493,57 @@ def test_closed_form_caches_stay_bounded(monkeypatch):
         value = cache(*key)
         assert cache.cache_info().hits == info.hits + 1
         assert isinstance(value, tuple)
-        hash(value)  # immutable all the way down
-    # 3^9 has more distinct values than a shared table holds: they are built per call
+    # immutable all the way down, but for the unit part's phase table: a list
+    # shared by every a of one (q, q', sign), filled in place
+    hash(charsums._sqrt_roots(units[-1], big.p, big.m))
+    hash(charsums._gauss_unit_part(units[-1], big.q)[:-1])
+    # 3^9 has more distinct values than a family's tables hold: no table, built per call
     assert big.q > charsums._SHARED_MAX_Q
+    assert charsums._gauss_unit_part(units[-1], big.q)[-1] is None
+    assert charsums._kloosterman_modulus_part(big.p, big.m, False)[-1] is None
     assert gauss_sum_closed(units[-1], 1, big) is not gauss_sum_closed(units[-1], 1, big)
     assert kloosterman_closed(1, 1, big) is not kloosterman_closed(1, 1, big)
-    # shared values past a table's cap: a full table is emptied, never outgrown
-    cap = 32
+    # shared values past the cap: a full family is emptied, with the cache that
+    # holds its tables, and never outgrown
+    cap = 64
     monkeypatch.setattr(charsums, "_CACHE_SIZE", cap)
+    monkeypatch.setattr(charsums, "_SHARED_MAX_Q", cap // 2)
     _clear_closed_form_caches()
-    gauss, kloosterman = set(), set()
-    for mod in (PrimePowerModulus(3, 4), PrimePowerModulus(5, 3), PrimePowerModulus(7, 2)):
-        for a in range(1, mod.q):
-            gauss.add(gauss_sum_closed(a, 1, mod))
-            if a % mod.p:
-                kloosterman.update((kloosterman_closed(a, 1, mod), salie_closed(a, 1, mod)))
-    assert len(gauss) > cap and len(kloosterman) > cap
-    tables = (charsums._shared_gauss, charsums._shared_kloosterman)
-    for table in tables:
-        assert 0 < len(table) <= cap
-    # each shared complex value belongs to a value one of the tables holds
-    assert {id(v) for table in tables for v in table.values()} == set(charsums._shared_complex)
+    families = ((charsums._gauss_tables, charsums._gauss_unit_part),
+                (charsums._kloosterman_tables, charsums._kloosterman_modulus_part))
+    gauss, drops, slots = set(), [0, 0], [0, 0]
+    for mod in (PrimePowerModulus(3, 3), PrimePowerModulus(31, 1), PrimePowerModulus(3, 2), PrimePowerModulus(5, 2)):
+        for a in range(mod.q):
+            gauss.add(repr(gauss_sum_closed(a, 1, mod)))
+            if a % mod.p and mod.m > 1:
+                for b in range(1, mod.q, 2):
+                    kloosterman_closed(a, b, mod), salie_closed(a, b, mod)
+            for i, (tables, _) in enumerate(families):
+                now = sum(map(len, tables.values()))
+                assert now <= cap and len(_shared_values(tables)) <= cap
+                drops[i] += now < slots[i]
+                slots[i] = now
+    assert len(gauss) > cap and min(drops) > 0
+    # a table that would pass the cap empties its family and the cache that
+    # holds its tables, so no emptied table is handed out again
+    for tables, holder in families:
+        assert holder.cache_info().currsize > 0
+        charsums._phase_table(tables, ("probe",), cap, holder)
+        assert list(tables) == [("probe",)] and holder.cache_info().currsize == 0
     assert gauss_sum_closed(2, 1, mod) is gauss_sum_closed(2, 1, mod)
+
+
+def _shared_values(tables):
+    """The values a family's phase tables hold."""
+    return [value for table in tables.values() for value in table if value is not None]
 
 
 def _clear_closed_form_caches():
     for cache in (charsums._gauss_unit_part, charsums._sqrt_roots, charsums._kloosterman_modulus_part,
                   modmath.unit_root):
         cache.cache_clear()
-    for table in (charsums._shared_gauss, charsums._shared_kloosterman, charsums._shared_complex):
-        table.clear()
+    for tables in (charsums._gauss_tables, charsums._kloosterman_tables):
+        tables.clear()
 
 
 def _field_types(value):
@@ -654,12 +677,34 @@ def test_cold_closed_form_sweep_grows_the_caches_by_under_one_mib(traced_peak):
         for a in range(c):
             for b in range(c):
                 gauss_sum_closed(a, b, mod).to_complex()
-        return len(charsums._shared_gauss)
+        return len(_shared_values(charsums._gauss_tables))
 
     _clear_closed_form_caches()
     shared, mib = traced_peak(sweep)
     assert shared == 826  # the distinct nonzero values mod 3^6
     assert mib < 1.0
+
+
+def test_a_row_above_the_shared_limit_keeps_no_phase_table():
+    """Above _SHARED_MAX_Q every closed value is built per call: rows mod 5^6
+    leave every phase table empty and give the uncached oracles' values."""
+    mod = PrimePowerModulus(5, 6)
+    c = mod.q
+    assert c > charsums._SHARED_MAX_Q
+    _clear_closed_form_caches()
+    for a in (1, 7, 250):
+        for b in range(c):
+            got = gauss_sum_closed(a, b, mod)
+            want = _gauss_closed_reference(a, b, mod)
+            assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
+            assert repr(got.to_complex()) == repr(_exact_to_complex_reference(want))
+        for b in [b for b in range(0, c, 7) if a % 5 or b % 5]:
+            for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
+                got = closed_fn(a, b, mod)
+                want = _kloosterman_salie_reference(a, b, mod, twisted)
+                assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
+                assert repr(got.to_complex()) == repr(_kloosterman_to_complex_reference(want))
+    assert charsums._gauss_tables == {} and charsums._kloosterman_tables == {}
 
 
 def test_a_warm_row_hands_out_shared_values():
@@ -671,9 +716,9 @@ def test_a_warm_row_hands_out_shared_values():
                 + [closed_fn(7, b, mod) for b in range(1, c, 5) for closed_fn in (kloosterman_closed, salie_closed)])
 
     def cache_state():
-        caches = (charsums._gauss_unit_part, charsums._sqrt_roots, modmath.unit_root)
-        tables = (charsums._shared_gauss, charsums._shared_kloosterman, charsums._shared_complex)
-        return [cache.cache_info().misses for cache in caches] + [len(table) for table in tables]
+        caches = (charsums._gauss_unit_part, charsums._sqrt_roots, charsums._kloosterman_modulus_part, modmath.unit_root)
+        tables = (charsums._gauss_tables, charsums._kloosterman_tables)
+        return [cache.cache_info().misses for cache in caches] + [len(_shared_values(t)) for t in tables]
 
     _clear_closed_form_caches()
     first = row()
@@ -715,6 +760,40 @@ def test_shared_values_match_the_uncached_oracles_cold_and_warm(args, cold):
             want = _kloosterman_salie_reference(a, b, mod, twisted)
             assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
             assert repr(got.to_complex()) == repr(_kloosterman_to_complex_reference(want))
+
+
+def _shared_args():
+    """(p, m, a, b) of _closed_value_args with p^m <= _SHARED_MAX_Q, so that the
+    closed values are shared."""
+    return _closed_value_args().filter(lambda args: args[0] ** args[1] <= charsums._SHARED_MAX_Q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_args(), st.integers(-10**6, 10**6))
+def test_copies_pickles_and_replacements_of_shared_values_are_plain_tuples(args, shift):
+    """A shared value carries its complex value; what is made from it is the
+    plain NamedTuple, evaluated from its own fields."""
+    p, m, a, b = args
+    mod = PrimePowerModulus(p, m)
+    shared = [(gauss_sum_closed(a, b, mod), _exact_to_complex_reference)]
+    if a % p or b % p:
+        shared += [(fn(a, b, mod), _kloosterman_to_complex_reference) for fn in (kloosterman_closed, salie_closed)]
+    for value, reference in shared:
+        assert isinstance(value, charsums._Shared)
+        plain = type(value)._plain
+        assert repr(value) == repr(tuple.__new__(plain, value)) and hash(value) == hash(tuple(value))
+        if plain is ExactCharSum:
+            moved = value._replace(phase_num=value.phase_num + shift)
+        else:
+            moved = value._replace(terms=tuple((coeff, t + shift) for coeff, t in value.terms))
+        twins = [copy.copy(value), copy.deepcopy(value), value._replace(), moved]
+        twins += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is plain
+            assert _field_types(twin) == _field_types(value)
+            assert repr(twin.to_complex()) == repr(reference(twin))
+        assert all(twin == value and repr(twin) == repr(value) for twin in twins if twin is not moved)
+        assert repr(value.to_complex()) == repr(reference(value))
 
 
 _RETYPES = (int, float, complex, np.int64, np.float64, np.complex128)

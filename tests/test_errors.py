@@ -11,10 +11,10 @@ from congruence_lab.counting import (
     poisson_identity_check,
 )
 from congruence_lab.charsums import F_closed, cochrane_vanishes
-from congruence_lab.densities import DiagonalForm, hensel_stability_report
+from congruence_lab.densities import DiagonalForm, density_B, hensel_stability_report, ternary_C_p
 from congruence_lab.errors import BudgetExceeded, charge, resolve_budget
 from congruence_lab.errors import ValidationError
-from congruence_lab.modmath import PrimePowerModulus, Residue, sqrt_classes_mod_prime_power
+from congruence_lab.modmath import PrimePowerModulus, Residue, require_odd_prime, sqrt_classes_mod_prime_power
 from congruence_lab.representations import DualForm, quadruple_count, singular_integral, tau_n
 from congruence_lab.sqrt_expsums import bound_scan
 
@@ -97,6 +97,10 @@ _INTEGER_ENTRY_POINTS = {
     "hensel m_max": ("m_max", lambda: hensel_stability_report(_FORM, 5, 2.5)),
     "F_closed r": ("r", lambda: F_closed(0.5, (1, 1, 1), _FORM, _MOD_125)),
     "F_closed l_j": ("l_j", lambda: F_closed(0, (1, 1.5, 1), _FORM, _MOD_125)),
+    "odd prime p": ("p", lambda: require_odd_prime(7.0)),
+    "density_B p": ("p", lambda: density_B(DiagonalForm((1, 1, 2), 1), 5.0)),
+    "ternary p": ("p", lambda: ternary_C_p(1, 1, 2, 5.0)),
+    "scan p": ("p", lambda: bound_scan(7.0, [2], 2, 1)),
 }
 
 

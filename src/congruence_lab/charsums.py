@@ -5,16 +5,15 @@ and a closed form.  The closed forms factor out gcds, detect the vanishing
 patterns, and express the remainder as sign * eps * sqrt(c) * root of unity,
 so the two routes can be compared exactly in tests.
 
-A modulus has few distinct closed values (about 1.1 q Gauss sums), so for
-moduli up to 2048 the closed forms hand out one shared tuple per value: it
-sits in a phase table, a list indexed by the one field that b moves, and
-carries its complex value; see ``_phase_table``.
+A closed value is one shared tuple that carries its complex value.  A Gauss
+value, for moduli up to 2048, sits in a phase table, a list indexed by the one
+field that b moves (see ``_phase_table``); a Kloosterman/Salie value sits with
+the root of u^2 = ab that fixes it, at every modulus (see ``_root_part``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -29,8 +28,8 @@ from .modmath import (
     epsilon_c,
     invmod,
     jacobi_symbol,
+    lift_sqrt_array,
     prime_tables,
-    sqrt_classes_mod_prime_power,
     unit_root,
     valuation,
 )
@@ -82,15 +81,11 @@ class KloostermanClosedForm(NamedTuple):
         scale = math.sqrt(c)
         if terms and c < 1:
             raise ValidationError("q must be positive")
-        # the left-to-right sum from int 0 that sum() does, without a generator frame
-        total = 0
-        for coeff, phase in terms:
-            total = total + coeff * unit_root(phase % c, c)
-        return scale * total
+        return scale * sum(coeff * unit_root(phase % c, c) for coeff, phase in terms)
 
 
 class _Shared:
-    """Mixin for a closed value built once for a phase table: it carries its
+    """Mixin for a closed value built once to be shared: it carries its
     complex value, and its repr, copies, pickles and ``_make``/``_replace``
     results are those of the NamedTuple ``_plain`` it extends."""
 
@@ -126,12 +121,17 @@ def _phase_array(c: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(c) / c)
 
 
+def _brute_args(a: int, b: int, c: int, odd: bool) -> tuple[int, int, int]:
+    """(a mod c, b mod c, c) as Python ints, for a positive c, odd if asked."""
+    a, b, c = require_int("a", a), require_int("b", b), require_int("c", c)
+    if c < 1 or (odd and c % 2 == 0):
+        raise ValidationError(f"modulus must be {'odd and ' if odd else ''}positive")
+    return a % c, b % c, c
+
+
 def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
     """G(a, b, c) = sum over n mod c of e_c(a*n^2 + b*n), term by term."""
-    if c < 1:
-        raise ValidationError("modulus must be positive")
-    a %= c
-    b %= c
+    a, b, c = _brute_args(a, b, c, odd=False)
     n = np.arange(c, dtype=np.int64)
     phases = (a * ((n * n) % c) + b * n) % c
     return complex(_phase_array(c)[phases].sum())
@@ -141,32 +141,31 @@ def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
 # p^m <= 4096 stays cached; the bound keeps memory fixed on wider sweeps.
 _CACHE_SIZE = 4096
 
-# A modulus q has at most ~1.2 q distinct Gauss and ~1.3 q distinct
-# Kloosterman/Salie values (counted over full (a, b) grids up to 31^2), so up
-# to _SHARED_MAX_Q each value is built once and kept in a phase table.  Larger
-# moduli build their values per call: keeping them would empty the tables over
-# and over (five rows mod 5^6 took 1.9x as long).
+# A modulus q has at most ~1.2 q distinct Gauss values (counted over full
+# (a, b) grids up to 31^2), so up to _SHARED_MAX_Q each value is built once and
+# kept in a phase table.  Larger moduli build their Gauss values per call:
+# keeping them would empty the tables over and over (five rows mod 5^6 took
+# 1.9x as long).
 _SHARED_MAX_Q = _CACHE_SIZE // 2
 
 
-def _phase_table(tables: dict[tuple, list], key: tuple, size: int, holder) -> list:
-    """The phase table for key in one family's tables, made with size empty
-    slots on first use.  A family holds at most _CACHE_SIZE slots: a table that
-    would pass that first empties it and ``holder``, the cache that holds its
-    tables, so a long-lived process keeps sharing the values of the moduli it
-    sweeps now.  No lock is taken: a race can only build two equal values, or
-    leave the holder a table that the next emptying drops."""
-    table = tables.get(key)
+def _phase_table(key: tuple, size: int) -> list:
+    """The Gauss phase table for key, made with size empty slots on first use.
+    The tables hold at most _CACHE_SIZE slots: a table that would pass that
+    first empties them and ``_gauss_unit_part``, the cache that holds them, so
+    a long-lived process keeps sharing the values of the moduli it sweeps now.
+    No lock is taken: a race can only build two equal values, or leave the
+    cache a table that the next emptying drops."""
+    table = _gauss_tables.get(key)
     if table is None:
-        if sum(map(len, tables.values())) + size > _CACHE_SIZE:
-            tables.clear()
-            holder.cache_clear()
-        table = tables.setdefault(key, [None] * size)
+        if sum(map(len, _gauss_tables.values())) + size > _CACHE_SIZE:
+            _gauss_tables.clear()
+            _gauss_unit_part.cache_clear()
+        table = _gauss_tables.setdefault(key, [None] * size)
     return table
 
 
 _gauss_tables: dict[tuple[int, int, int], list] = {}
-_kloosterman_tables: dict[tuple[int, bool], list] = {}
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -178,7 +177,7 @@ def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int, list 
     d = math.gcd(a, c)
     a1, c1 = a // d, c // d
     sign = jacobi_symbol(a1, c1)
-    values = _phase_table(_gauss_tables, (c, c1, sign), c1, _gauss_unit_part) if c <= _SHARED_MAX_Q else None
+    values = _phase_table((c, c1, sign), c1) if c <= _SHARED_MAX_Q else None
     return d, c1, sign, epsilon_c(c1), invmod(4 * a1, c1), values
 
 
@@ -192,7 +191,7 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     are one shared tuple, found by its phase.
     """
     if type(a) is not int or type(b) is not int:
-        a, b = operator.index(a), operator.index(b)
+        a, b = require_int("a", a), require_int("b", b)
     c = modulus.q
     d, c1, sign, eps, inv_4a1, values = _gauss_unit_part(a % c, c)
     if d != 1:
@@ -212,10 +211,7 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
 
 def kloosterman_bruteforce(a: int, b: int, c: int) -> complex:
     """K0(a, b, c): sum over units n mod c of e_c(a*nbar + b*n)."""
-    if c < 1 or c % 2 == 0:
-        raise ValidationError("modulus must be odd and positive")
-    a %= c
-    b %= c
+    a, b, c = _brute_args(a, b, c, odd=True)
     total = 0.0 + 0.0j
     phases = _phase_array(c)
     for n in range(c):
@@ -227,10 +223,7 @@ def kloosterman_bruteforce(a: int, b: int, c: int) -> complex:
 
 def salie_bruteforce(a: int, b: int, c: int) -> complex:
     """K1(a, b, c): the Kloosterman sum twisted by the Jacobi symbol (n/c)."""
-    if c < 1 or c % 2 == 0:
-        raise ValidationError("modulus must be odd and positive")
-    a %= c
-    b %= c
+    a, b, c = _brute_args(a, b, c, odd=True)
     total = 0.0 + 0.0j
     phases = _phase_array(c)
     for n in range(c):
@@ -242,29 +235,27 @@ def salie_bruteforce(a: int, b: int, c: int) -> complex:
 
 
 # Both caches take plain ints: a PrimePowerModulus key would run the
-# dataclass's Python __hash__ on every lookup.  A miss rebuilds the modulus
-# from one more cache, so it is validated once per (p, m), not per miss.
-_prime_power = lru_cache(maxsize=64)(PrimePowerModulus)
+# dataclass's Python __hash__ on every lookup.
+@lru_cache(maxsize=_CACHE_SIZE)
+def _root_part(r: int, p: int, m: int) -> tuple[int, list] | None:
+    """(v, values) for a unit r mod p^m, None when r is a non-residue: v < p^m/2
+    is the smaller root of u^2 = r, and values has three slots, K0, K1 with
+    sign 1 and K1 with sign -1 of every (a, b) with ab = r, each filled on
+    first use.  So K0/K1 values are shared at every modulus, at most three per
+    cached root."""
+    if prime_tables(p).root[r % p] < 0:
+        return None
+    v = int(lift_sqrt_array(np.array([r], dtype=object), None, p, m)[0])
+    return min(v, p**m - v), [None] * 3
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _sqrt_roots(r: int, p: int, m: int) -> tuple[int, ...]:
-    """Every u mod p^m with u^2 = r, ascending, for r reduced mod p^m."""
-    return tuple(sqrt_classes_mod_prime_power(r, _prime_power(p, m)).members())
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...], list | None]:
-    """(eps_c, flip, ((x/c) = (x/p)^m for x mod p), values) at c = p^m: the roots
-    v, c - v of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed
-    K0/K1 body, with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1
-    for K1.  values is the phase table of (c, twisted), None for c > _SHARED_MAX_Q:
-    slot v holds root v < c/2 with sign 1, slot c - v the same root with sign -1."""
-    c = p**m
+def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...]]:
+    """(eps_c, flip, ((x/c) = (x/p)^m for x mod p)) at c = p^m: the roots v, c - v
+    of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed K0/K1
+    body, with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1 for K1."""
     twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
-    values = (_phase_table(_kloosterman_tables, (c, twisted), c, _kloosterman_modulus_part)
-              if c <= _SHARED_MAX_Q else None)
-    return epsilon_c(c), 1 if twisted else jacobi_symbol(-1, c), twist, values
+    return epsilon_c(p**m), 1 if twisted else jacobi_symbol(-1, p**m), twist
 
 
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
@@ -276,7 +267,7 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     K1(a, b, c) = eps_c (b/c) sqrt(c) sum_u e_c(2u).
     """
     if type(a) is not int or type(b) is not int:
-        a, b = operator.index(a), operator.index(b)
+        a, b = require_int("a", a), require_int("b", b)
     p, m, c = modulus.p, modulus.m, modulus.q
     if m < 2:
         raise UnsupportedCase(f"closed {'Salie' if twisted else 'Kloosterman'} form needs exponent m >= 2")
@@ -285,19 +276,17 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
     pa, pb = a % p == 0, b % p == 0
     if pa and pb:
         raise UnsupportedCase("p divides both arguments; use the brute-force sum")
-    roots = () if pa or pb else _sqrt_roots(a * b % c, p, m)
-    if not roots:
+    root = None if pa or pb else _root_part(a * b % c, p, m)
+    if root is None:
         return _SHARED_ZERO_KLOOSTERMAN
-    v = roots[0]  # the roots are v < c/2 and c - v
-    eps, flip, twist, values = _kloosterman_modulus_part(p, m, twisted)
+    v, values = root  # the roots are v < c/2 and c - v
+    eps, flip, twist = _kloosterman_modulus_part(p, m, twisted)
     sign = twist[(b if twisted else v) % p]
-    slot = v if sign == 1 else c - v
-    value = None if values is None else values[slot]
+    slot = sign if twisted else 0  # K0 in slot 0, K1 in slot 1 or -1 by its sign
+    value = values[slot]
     if value is None:
         # grouping sign * (eps * flip) keeps the signed zeros of the reported coefficients
         terms = ((sign * eps, (2 * v) % c), (sign * (eps * flip), (-2 * v) % c))
-        if values is None:
-            return tuple.__new__(KloostermanClosedForm, (False, p, m, terms))
         value = values[slot] = _SharedKloosterman._build((False, p, m, terms))
     return value
 
@@ -370,6 +359,7 @@ def F_bruteforce(
     """
     q, p = modulus.q, modulus.p
     n = form.n
+    k = tuple(require_int("k_j", kj) for kj in k)
     if len(k) != n:
         raise ValidationError("frequency vector length must match the form")
     form.require_unit_coefficients(p)
@@ -393,7 +383,7 @@ def F_bruteforce(
 def _dual_front(form: DiagonalForm, p: int, m: int, r: int) -> complex:
     """eps_c^n p^(n(m+r)/2) (lam_1...lam_n / c) at c = p^(m-r): the factor in
     front of the Kloosterman/Salie sum in F(p^r l) (see ``F_closed``)."""
-    eps, _, twist, _ = _kloosterman_modulus_part(p, m - r, form.n % 2 == 1)
+    eps, _, twist = _kloosterman_modulus_part(p, m - r, form.n % 2 == 1)
     return eps**form.n * float(p) ** (form.n * (m + r) / 2.0) * twist[math.prod(form.lambdas) % p]
 
 
@@ -409,7 +399,7 @@ def dual_kernel_level(form: DiagonalForm, modulus: PrimePowerModulus, r: int, wd
     """
     p, m, n = modulus.p, modulus.m, form.n
     c = p ** (m - r)
-    eps, flip, twist, _ = _kloosterman_modulus_part(p, m - r, n % 2 == 1)
+    eps, flip, twist = _kloosterman_modulus_part(p, m - r, n % 2 == 1)
     sine = flip == -1
     front = _dual_front(form, p, m, r) * eps * (2.0 * math.sqrt(c)) * (1j if sine else 1)
     ks = np.delete(np.arange(1, c // 2 + 1, dtype=np.int64), np.s_[p - 1::p])  # the units k < c/2
@@ -450,5 +440,5 @@ def F_closed(
     c = p ** (m - r)
     big_a = sum(invmod(lam % c, c) * lj * lj for lj, lam in zip(l, form.lambdas)) % c
     kernel = _closed_kloosterman_salie(-big_a * invmod(4, c), -form.inhomogeneous_term,
-                                       _prime_power(p, m - r), twisted=n % 2 == 1)
+                                       PrimePowerModulus(p, m - r), twisted=n % 2 == 1)
     return _dual_front(form, p, m, r) * kernel.to_complex()

@@ -98,9 +98,10 @@ class _Gaussian(_Sampled):
         with np.errstate(over="ignore"):
             return np.exp(-math.pi * xs * xs / (w.sigma * w.sigma))
 
+    # np.square, not ** 2: a 0-d argument's ** 2 runs C pow, an ulp off the array's square
     def fourier(self, w, ys):
         with np.errstate(over="ignore"):
-            return w.sigma * np.exp(-math.pi * (w.sigma * ys) ** 2)
+            return w.sigma * np.exp(-math.pi * np.square(w.sigma * ys))
 
     def support_cutoff(self, w):
         return 6.0 * w.sigma
@@ -238,7 +239,7 @@ class _BumpPair:
     def values(self, w, xs):
         with np.errstate(over="ignore"):
             ts = w.radius * np.abs(xs)
-        return (_bump_fhat(ts) / _BUMP_FHAT0) ** 2
+        return np.square(_bump_fhat(ts) / _BUMP_FHAT0)  # not ** 2, as in _Gaussian.fourier
 
     def fourier(self, w, ys):
         # the self-convolution (bump * bump)(z), supported on |z| < 2

@@ -81,8 +81,13 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """Raise ``ValidationError`` naming the parameter unless value is finite and > 0."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise ``ValidationError`` naming the parameter unless value is a real
+    number, finite and > 0."""
+    try:
+        valid = math.isfinite(value) and value > 0
+    except TypeError:  # None, a string, a complex number
+        valid = False
+    if not valid:
         raise ValidationError(f"{name} must be finite and positive, got {value!r}")
 
 

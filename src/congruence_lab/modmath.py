@@ -47,7 +47,8 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=1024)
 def _small_prime(p: int) -> bool:
-    """is_prime for p below MAX_PRIME, cached: a scan validates its p once per row."""
+    """is_prime for p below MAX_PRIME, cached: every modulus, prime table and
+    entry point that takes p validates it, mostly the same few p again."""
     return is_prime(p)
 
 

@@ -560,8 +560,10 @@ def quadruple_count(
         raise ValidationError("need M >= 1 and c >= 1")
     if 8 * M * M >= c:
         raise HypothesisViolated(f"8*M^2 = {8 * M * M} must be below c = {c}")
-    if p is not None and any(a % p == 0 for a in alphas):
-        raise CoprimalityViolated("coefficients must be units mod p")
+    if p is not None:
+        require_odd_prime(p)
+        if any(a % p == 0 for a in alphas):
+            raise CoprimalityViolated("coefficients must be units mod p")
     # two pair tables of (M+1)^2 entries: one sort, one binary search per entry
     size = (M + 1) ** 2
     charge(2 * size * size.bit_length(), resolve_budget(budget), "quadruple count")

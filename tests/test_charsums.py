@@ -25,6 +25,7 @@ from congruence_lab.charsums import (
     salie_bruteforce,
     salie_closed,
 )
+from congruence_lab.counting import count_weighted_spectral, gaussian_weight
 from congruence_lab.densities import DiagonalForm, count_B_m
 from congruence_lab.errors import BudgetExceeded, UnsupportedCase, ValidationError
 from congruence_lab.modmath import (
@@ -466,8 +467,7 @@ def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
             if a % p == 0 and b % p == 0:
                 continue
             if a % p and b % p:
-                want_roots = tuple(sqrt_classes_mod_prime_power(a * b, mod).members())
-                assert charsums._sqrt_roots(a * b % c, p, m) == want_roots
+                _assert_root_part_matches_the_root_classes(a * b % c, mod)
             for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
                 got = closed_fn(a, b, mod)
                 want = _kloosterman_salie_reference(a, b, mod, twisted)
@@ -479,71 +479,91 @@ def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
             closed_fn(p, 2 * p, mod)
 
 
+def _assert_root_part_matches_the_root_classes(r, mod):
+    """_root_part of the unit r holds the first root that sqrt_classes lists,
+    and three slots, or is None exactly when r has no root."""
+    members = sqrt_classes_mod_prime_power(r, mod).members()
+    root = charsums._root_part(r, mod.p, mod.m)
+    assert (root is None) == (not members), (r, mod)
+    if root is not None:
+        assert root[0] == members[0] and len(root[1]) == 3, (r, mod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13]), st.integers(1, 8), st.data())
+def test_root_part_matches_the_root_classes_above_the_shared_limit_too(p, m, data):
+    mod = PrimePowerModulus(p, m)
+    r = data.draw(st.integers(1, mod.q - 1).filter(lambda x: x % p), label="r")
+    _assert_root_part_matches_the_root_classes(r, mod)
+
+
 def test_closed_form_caches_stay_bounded(monkeypatch):
     big = PrimePowerModulus(3, 9)
-    for cache in (charsums._gauss_unit_part, charsums._sqrt_roots):
+    for cache in (charsums._gauss_unit_part, charsums._root_part):
         assert cache.cache_info().maxsize == charsums._CACHE_SIZE
     units = [x for x in range(1, big.q) if x % 3][: charsums._CACHE_SIZE + 100]
     for a in units:
         gauss_sum_closed(a, 1, big)
         kloosterman_closed(a, 1, big)
-    for cache, key in ((charsums._gauss_unit_part, (units[-1], big.q)), (charsums._sqrt_roots, (units[-1], big.p, big.m))):
-        info = cache.cache_info()
-        assert 0 < info.currsize <= info.maxsize
-        value = cache(*key)
-        assert cache.cache_info().hits == info.hits + 1
-        assert isinstance(value, tuple)
+    info = charsums._gauss_unit_part.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    value = charsums._gauss_unit_part(units[-1], big.q)
+    assert charsums._gauss_unit_part.cache_info().hits == info.hits + 1
+    assert isinstance(value, tuple)
     # immutable all the way down, but for the unit part's phase table: a list
     # shared by every a of one (q, q', sign), filled in place
-    hash(charsums._sqrt_roots(units[-1], big.p, big.m))
     hash(charsums._gauss_unit_part(units[-1], big.q)[:-1])
-    # 3^9 has more distinct values than a family's tables hold: no table, built per call
+    # each cached root holds at most three K0/K1 values, whatever a and b give
+    # it: K0, and K1 with either sign (b/c)
+    for r in units[-60:]:
+        for b in (1, 2, 4, 5):
+            for closed_fn in (kloosterman_closed, salie_closed):
+                closed_fn(r * invmod(b, big.q), b, big)
+        root = charsums._root_part(r, big.p, big.m)
+        if root is not None:
+            assert len(root[1]) == 3 and all(type(v) is charsums._SharedKloosterman for v in root[1])
+    info = charsums._root_part.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+    # 3^9 has more distinct Gauss values than the tables hold: no table, built
+    # per call; a Kloosterman value lives with its root at every modulus
     assert big.q > charsums._SHARED_MAX_Q
     assert charsums._gauss_unit_part(units[-1], big.q)[-1] is None
-    assert charsums._kloosterman_modulus_part(big.p, big.m, False)[-1] is None
     assert gauss_sum_closed(units[-1], 1, big) is not gauss_sum_closed(units[-1], 1, big)
-    assert kloosterman_closed(1, 1, big) is not kloosterman_closed(1, 1, big)
-    # shared values past the cap: a full family is emptied, with the cache that
-    # holds its tables, and never outgrown
+    assert kloosterman_closed(1, 1, big) is kloosterman_closed(1, 1, big)
+    # shared Gauss values past the cap: the tables are emptied, with the cache
+    # that holds them, and never outgrown
     cap = 64
     monkeypatch.setattr(charsums, "_CACHE_SIZE", cap)
     monkeypatch.setattr(charsums, "_SHARED_MAX_Q", cap // 2)
     _clear_closed_form_caches()
-    families = ((charsums._gauss_tables, charsums._gauss_unit_part),
-                (charsums._kloosterman_tables, charsums._kloosterman_modulus_part))
-    gauss, drops, slots = set(), [0, 0], [0, 0]
+    tables = charsums._gauss_tables
+    gauss, drops, slots = set(), 0, 0
     for mod in (PrimePowerModulus(3, 3), PrimePowerModulus(31, 1), PrimePowerModulus(3, 2), PrimePowerModulus(5, 2)):
         for a in range(mod.q):
             gauss.add(repr(gauss_sum_closed(a, 1, mod)))
-            if a % mod.p and mod.m > 1:
-                for b in range(1, mod.q, 2):
-                    kloosterman_closed(a, b, mod), salie_closed(a, b, mod)
-            for i, (tables, _) in enumerate(families):
-                now = sum(map(len, tables.values()))
-                assert now <= cap and len(_shared_values(tables)) <= cap
-                drops[i] += now < slots[i]
-                slots[i] = now
-    assert len(gauss) > cap and min(drops) > 0
-    # a table that would pass the cap empties its family and the cache that
-    # holds its tables, so no emptied table is handed out again
-    for tables, holder in families:
-        assert holder.cache_info().currsize > 0
-        charsums._phase_table(tables, ("probe",), cap, holder)
-        assert list(tables) == [("probe",)] and holder.cache_info().currsize == 0
+            now = sum(map(len, tables.values()))
+            assert now <= cap and len(_shared_values(tables)) <= cap
+            drops += now < slots
+            slots = now
+    assert len(gauss) > cap and drops > 0
+    # a table that would pass the cap empties the tables and the cache that
+    # holds them, so no emptied table is handed out again
+    assert charsums._gauss_unit_part.cache_info().currsize > 0
+    charsums._phase_table(("probe",), cap)
+    assert list(tables) == [("probe",)] and charsums._gauss_unit_part.cache_info().currsize == 0
     assert gauss_sum_closed(2, 1, mod) is gauss_sum_closed(2, 1, mod)
 
 
 def _shared_values(tables):
-    """The values a family's phase tables hold."""
+    """The values the Gauss phase tables hold."""
     return [value for table in tables.values() for value in table if value is not None]
 
 
 def _clear_closed_form_caches():
-    for cache in (charsums._gauss_unit_part, charsums._sqrt_roots, charsums._kloosterman_modulus_part,
+    for cache in (charsums._gauss_unit_part, charsums._root_part, charsums._kloosterman_modulus_part,
                   modmath.unit_root):
         cache.cache_clear()
-    for tables in (charsums._gauss_tables, charsums._kloosterman_tables):
-        tables.clear()
+    charsums._gauss_tables.clear()
 
 
 def _field_types(value):
@@ -686,8 +706,9 @@ def test_cold_closed_form_sweep_grows_the_caches_by_under_one_mib(traced_peak):
 
 
 def test_a_row_above_the_shared_limit_keeps_no_phase_table():
-    """Above _SHARED_MAX_Q every closed value is built per call: rows mod 5^6
-    leave every phase table empty and give the uncached oracles' values."""
+    """Above _SHARED_MAX_Q every closed Gauss value is built per call: rows mod
+    5^6 leave the phase tables empty, and every Gauss and K0/K1 value, shared
+    with its root or not, is the uncached oracles' value."""
     mod = PrimePowerModulus(5, 6)
     c = mod.q
     assert c > charsums._SHARED_MAX_Q
@@ -704,7 +725,7 @@ def test_a_row_above_the_shared_limit_keeps_no_phase_table():
                 want = _kloosterman_salie_reference(a, b, mod, twisted)
                 assert repr(got) == repr(want) and _field_types(got) == _field_types(want)
                 assert repr(got.to_complex()) == repr(_kloosterman_to_complex_reference(want))
-    assert charsums._gauss_tables == {} and charsums._kloosterman_tables == {}
+    assert charsums._gauss_tables == {}
 
 
 def test_a_warm_row_hands_out_shared_values():
@@ -716,9 +737,8 @@ def test_a_warm_row_hands_out_shared_values():
                 + [closed_fn(7, b, mod) for b in range(1, c, 5) for closed_fn in (kloosterman_closed, salie_closed)])
 
     def cache_state():
-        caches = (charsums._gauss_unit_part, charsums._sqrt_roots, charsums._kloosterman_modulus_part, modmath.unit_root)
-        tables = (charsums._gauss_tables, charsums._kloosterman_tables)
-        return [cache.cache_info().misses for cache in caches] + [len(_shared_values(t)) for t in tables]
+        caches = (charsums._gauss_unit_part, charsums._root_part, charsums._kloosterman_modulus_part, modmath.unit_root)
+        return [cache.cache_info().misses for cache in caches] + [len(_shared_values(charsums._gauss_tables))]
 
     _clear_closed_form_caches()
     first = row()
@@ -729,6 +749,21 @@ def test_a_warm_row_hands_out_shared_values():
     assert [v.to_complex() for v in again] == values
     assert cache_state() == state  # the second pass misses no cache and shares nothing new
     assert gauss_sum_closed(7, 1, mod) is gauss_sum_closed(7, c - 1, mod)  # b and -b: one phase, one object
+
+
+def test_a_spectral_count_keeps_no_kloosterman_value_or_table():
+    """The spectral gather reads only eps_c, the flip and the twist of each
+    level: six squares mod 5^5 build no closed K0/K1 value and leave no
+    Kloosterman table in any level's cached part."""
+    _clear_closed_form_caches()
+    mod = PrimePowerModulus(5, 5)
+    count_weighted_spectral(DiagonalForm((1,) * 6, 1), mod, float(math.ceil(mod.q**0.55)), gaussian_weight())
+    assert charsums._kloosterman_modulus_part.cache_info().currsize > 0
+    assert charsums._root_part.cache_info().currsize == 0
+    for m in range(2, mod.m + 1):
+        for twisted in (False, True):
+            part = charsums._kloosterman_modulus_part(mod.p, m, twisted)
+            assert not any(isinstance(field, list) for field in part), (m, twisted)
 
 
 @st.composite

@@ -10,7 +10,17 @@ from congruence_lab.counting import (
     gaussian_weight,
     poisson_identity_check,
 )
-from congruence_lab.charsums import F_closed, cochrane_vanishes
+from congruence_lab.charsums import (
+    F_bruteforce,
+    F_closed,
+    cochrane_vanishes,
+    gauss_sum_bruteforce,
+    gauss_sum_closed,
+    kloosterman_bruteforce,
+    kloosterman_closed,
+    salie_bruteforce,
+    salie_closed,
+)
 from congruence_lab.densities import DiagonalForm, density_B, hensel_stability_report, ternary_C_p
 from congruence_lab.errors import BudgetExceeded, charge, resolve_budget
 from congruence_lab.errors import ValidationError
@@ -45,7 +55,8 @@ _SCALE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+# a string, None or a complex scale used to raise a bare TypeError
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, "25", None, 2j])
 @pytest.mark.parametrize("entry", list(_SCALE_ENTRY_POINTS))
 def test_non_finite_or_non_positive_scale_is_refused_by_name(entry, value):
     name, call = _SCALE_ENTRY_POINTS[entry]
@@ -101,6 +112,23 @@ _INTEGER_ENTRY_POINTS = {
     "density_B p": ("p", lambda: density_B(DiagonalForm((1, 1, 2), 1), 5.0)),
     "ternary p": ("p", lambda: ternary_C_p(1, 1, 2, 5.0)),
     "scan p": ("p", lambda: bound_scan(7.0, [2], 2, 1)),
+    "gauss closed a": ("a", lambda: gauss_sum_closed(1.5, 2, _MOD_125)),
+    "gauss closed b": ("b", lambda: gauss_sum_closed(1, 2.5, _MOD_125)),
+    "kloosterman closed a": ("a", lambda: kloosterman_closed(1.5, 2, _MOD_125)),
+    "kloosterman closed b": ("b", lambda: kloosterman_closed(1, 2.5, _MOD_125)),
+    "salie closed a": ("a", lambda: salie_closed(1.5, 2, _MOD_125)),
+    "salie closed b": ("b", lambda: salie_closed(1, 2.5, _MOD_125)),
+    "gauss brute a": ("a", lambda: gauss_sum_bruteforce(1.5, 2, 5)),
+    "gauss brute b": ("b", lambda: gauss_sum_bruteforce(1, 2.5, 5)),
+    "gauss brute c": ("c", lambda: gauss_sum_bruteforce(1, 2, 5.0)),
+    "kloosterman brute a": ("a", lambda: kloosterman_bruteforce(1.5, 2, 9)),
+    "kloosterman brute b": ("b", lambda: kloosterman_bruteforce(1, 2.5, 9)),
+    "kloosterman brute c": ("c", lambda: kloosterman_bruteforce(1, 2, 9.0)),
+    "salie brute a": ("a", lambda: salie_bruteforce(1.5, 2, 9)),
+    "salie brute b": ("b", lambda: salie_bruteforce(1, 2.5, 9)),
+    "salie brute c": ("c", lambda: salie_bruteforce(1, 2, 9.0)),
+    "F brute k_j": ("k_j", lambda: F_bruteforce((1.5, 2, 1), _FORM, _MOD)),
+    "quadruple p": ("p", lambda: quadruple_count((1, 1, 1, 1), 4, 81, 2, p=2.5)),
 }
 
 
@@ -111,3 +139,10 @@ def test_non_integer_argument_is_refused_by_name(entry):
     name, call = _INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(ValidationError, match=rf"\b{name} must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("p", [0, 4, -3, 1])
+def test_quadruple_count_refuses_a_p_that_is_not_an_odd_prime(p):
+    """p = 0 used to divide by zero, and 4 or -3 ran as if prime."""
+    with pytest.raises(ValidationError, match=rf"\bp={p} must be an odd prime"):
+        quadruple_count((1, 1, 1, 1), 4, 81, 2, p=p)

@@ -9,6 +9,7 @@ emitted.  Exit codes: 0 success, 2 validation error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -30,8 +31,7 @@ from .modmath import PrimePowerModulus, sqrt_classes_mod_prime_power
 # only for those: `density` never loads numpy, `expsum-scan` never loads the
 # counting stack.
 if TYPE_CHECKING:
-    from .charsums import ExactCharSum, KloostermanClosedForm
-    from .counting import CountReport, WeightSpec
+    from .counting import WeightSpec
     from .densities import DiagonalForm
 
 
@@ -126,31 +126,6 @@ def _to_plain(data, prefix: str = "") -> str:
     return _plain_scalar(data) + "\n"
 
 
-def _char_sum_dict(cs: ExactCharSum) -> dict:
-    if cs.is_zero:
-        return {"is_zero": True}
-    return {
-        "is_zero": False,
-        "rational_factor": cs.rational_factor,
-        "sign": cs.sign,
-        "eps": complex(cs.eps),
-        "sqrt_arg": cs.sqrt_arg,
-        "phase_num": cs.phase_num,
-        "phase_den": cs.phase_den,
-    }
-
-
-def _kloosterman_dict(kf: KloostermanClosedForm) -> dict:
-    if kf.is_zero:
-        return {"is_zero": True}
-    return {
-        "is_zero": False,
-        "p": kf.p,
-        "s": kf.s,
-        "terms": [{"coeff": complex(c), "phase_num": ph} for c, ph in kf.terms],
-    }
-
-
 def _weight_from_args(args) -> WeightSpec:
     from . import counting
 
@@ -201,7 +176,8 @@ def _cmd_eval_gauss(args) -> dict:
     brute = None
     if mod.q <= 100_000:
         brute = charsums.gauss_sum_bruteforce(args.a, args.b, mod.q)
-    report = {"re": value.real, "im": value.imag, "closed_form": _char_sum_dict(closed)}
+    closed_dict = {"is_zero": True} if closed.is_zero else closed._asdict()
+    report = {"re": value.real, "im": value.imag, "closed_form": closed_dict}
     if brute is not None:
         report["bruteforce"] = {"re": brute.real, "im": brute.imag}
     return report
@@ -215,7 +191,9 @@ def _cmd_eval_kloosterman(args) -> dict:
     brute_fn = charsums.salie_bruteforce if args.salie else charsums.kloosterman_bruteforce
     try:
         closed = closed_fn(args.a, args.b, mod)
-        closed_dict, value = _kloosterman_dict(closed), closed.to_complex()
+        closed_dict, value = {"is_zero": True}, closed.to_complex()
+        if not closed.is_zero:
+            closed_dict = {**closed._asdict(), "terms": [{"coeff": c, "phase_num": ph} for c, ph in closed.terms]}
     except UnsupportedCase as exc:
         # the literal sum is the only route left
         charge(mod.q, resolve_budget(args.budget), "brute-force sum")
@@ -239,24 +217,6 @@ def _cmd_density(args) -> dict:
             raise ValidationError("density B takes the n coefficients plus the inhomogeneous term")
         dv = density_B(DiagonalForm(lams[:-1], lams[-1]), args.p)
     return {"num": dv.numerator, "den": dv.denominator, "value": float(dv.as_rational)}
-
-
-def _count_report_dict(rep: CountReport) -> dict:
-    return {
-        "T": rep.T,
-        "T0": rep.T0,
-        "ratio": rep.ratio,
-        "p": rep.p,
-        "m": rep.m,
-        "N": rep.N,
-        "lambdas": list(rep.lambdas),
-        "inhomogeneous_term": rep.inhomogeneous_term,
-        "weight": rep.weight.kind,
-        "mode": rep.mode,
-        "strategy": rep.strategy,
-        "cost": {k: (float(v) if isinstance(v, float) else int(v)) for k, v in rep.cost.items()},
-        "truncation_bound": rep.truncation_bound,
-    }
 
 
 def _form_for_mode(args) -> tuple[DiagonalForm, str]:
@@ -284,7 +244,7 @@ def _cmd_count(args) -> dict:
         rep = counting.count_weighted_spectral(form, mod, N, w, budget=args.budget)
     else:
         rep = counting.count_weighted_direct(form, mod, N, w, mode, budget=args.budget)
-    return _count_report_dict(rep)
+    return {**dataclasses.asdict(rep), "weight": rep.weight.kind}
 
 
 def _cmd_verify_asymptotic(args) -> dict:
@@ -341,14 +301,7 @@ def _cmd_singular_series(args) -> dict:
 
     dual = DualForm(tuple(args.deltas))
     data = singular_series(args.k, dual, args.p, args.q_max, budget=args.budget)
-    return {
-        "k": args.k,
-        "q_max": data.q_max,
-        "partial_sum": data.partial_sum,
-        "tail_bound": data.tail_bound,
-        "decay_constant": data.decay_constant,
-        "coefficients": {str(q): v for q, v in data.coefficients.items()},
-    }
+    return {"k": args.k, **dataclasses.asdict(data)}
 
 
 def _cmd_quad_count(args) -> dict:

@@ -553,7 +553,6 @@ def count_weighted_spectral(
     modulus: PrimePowerModulus,
     N: float,
     w: WeightSpec,
-    k_cutoff: int | None = None,
     budget: int | None = None,
 ) -> CountReport:
     """The same count through the dual side: T = N^n q^{-(n+1)} sum of Psi(k) F(k).
@@ -568,7 +567,8 @@ def count_weighted_spectral(
     t mod p (see _top_frequency_block).
     Frequencies p^r * l are grouped by the value of the dual quadratic form
     mod c = p^(m-r), and each level is one real gather over the units below
-    c/2 (see dual_kernel_level).
+    c/2 (see dual_kernel_level).  Frequencies stop at ceil(Y q / N), Y the
+    weight's ``fourier_tail_cutoff``, reported as ``cost["k_cutoff"]``.
     """
     # the one use of charsums here: a direct count never loads it
     from .charsums import dual_kernel_level
@@ -584,11 +584,7 @@ def count_weighted_spectral(
     ycut = fourier_tail_cutoff(w)
     if not math.isfinite(ycut):
         raise TruncationInsufficient("weight's Fourier tail never becomes negligible")
-    if k_cutoff is None:
-        k_cutoff = math.ceil(ycut * q / N)
-    k_cutoff = require_int("k_cutoff", k_cutoff)
-    if k_cutoff < 0:
-        raise ValidationError("k_cutoff must be non-negative")
+    k_cutoff = math.ceil(ycut * q / N)
 
     total = 0.0
     kernel_evals = 0

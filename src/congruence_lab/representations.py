@@ -228,24 +228,17 @@ def singular_coefficient(
     _require_unit_duals(dual, p)
     # the prime-power factors sum to at most q, so this bounds their costs
     charge(_coefficient_cost(q, p, dual.n), resolve_budget(budget), "singular coefficient")
-    factors = []  # the prime-power factors of q by increasing prime
-    rest = q
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            head = d
-            rest //= d
-            while rest % d == 0:
-                head *= d
-                rest //= d
-            factors.append(head)
-        d += 1
-    if rest > 1 or not factors:
-        factors.append(rest)
+    # the prime-power factors of q by increasing prime: the heads of the
+    # series' split at q, rest[q], rest[rest[q]], ...
+    head, rest = _split(q)
+    factors = [int(head[q])]
+    while rest[q] > 1:
+        q = int(rest[q])
+        factors.append(int(head[q]))
     aq = _coefficient(factors[-1], k, dual.deltas, p)
     unit = _euler_unit(p, dual.n)
-    for head in reversed(factors[:-1]):
-        aq = _coefficient(head, k, dual.deltas, p) * aq * unit + 0.0
+    for factor in reversed(factors[:-1]):
+        aq = _coefficient(factor, k, dual.deltas, p) * aq * unit + 0.0
     return aq
 
 

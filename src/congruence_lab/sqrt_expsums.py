@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -98,8 +98,8 @@ class _Rows(NamedTuple):
 
 def _columns(params: list[SqrtSumParams]) -> _Rows:
     """Rows sharing p and s as columns of their exact ints."""
-    fields = zip(*((ps.Lambda, ps.a or 0, ps.b, ps.c, ps.K, ps.mu) for ps in params))
-    return _Rows(*(np.array(col, dtype=object) for col in fields))
+    cols = zip(*((ps.Lambda, ps.a or 0, ps.b, ps.c, ps.K, ps.mu) for ps in params))
+    return _Rows(*(np.array(col, dtype=object) for col in cols))
 
 
 def _params(p: int, s: int, rows: _Rows) -> list[SqrtSumParams]:
@@ -426,21 +426,15 @@ def bound_scan(
     return rows
 
 
-SCAN_CSV_COLUMNS = ["p", "s", "Lambda", "a", "b", "c", "K", "mu", "re", "im", "abs", "normalized"]
+SCAN_CSV_COLUMNS = [f.name for f in fields(SqrtSumParams)] + ["re", "im", "abs", "normalized"]
 
 
 def scan_rows_to_csv(rows: list[BoundScanRow]) -> str:
-    """Render scan rows as CSV with the documented column order."""
+    """Render scan rows as CSV: the fields of ``SqrtSumParams``, then the value."""
     out = io.StringIO()
     out.write(",".join(SCAN_CSV_COLUMNS) + "\n")
     for row in rows:
-        ps = row.params
-        fields = [
-            str(ps.p), str(ps.s), str(ps.Lambda),
-            "" if ps.a is None else str(ps.a),
-            str(ps.b), str(ps.c), str(ps.K), str(ps.mu),
-            format(row.value.real, ".17g"), format(row.value.imag, ".17g"),
-            format(abs(row.value), ".17g"), format(row.normalized, ".17g"),
-        ]
-        out.write(",".join(fields) + "\n")
+        cells = ["" if v is None else str(v) for v in astuple(row.params)]
+        cells += (format(x, ".17g") for x in (row.value.real, row.value.imag, abs(row.value), row.normalized))
+        out.write(",".join(cells) + "\n")
     return out.getvalue()

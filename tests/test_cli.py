@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,8 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import sqrt_expsums
+from congruence_lab import charsums, counting, sqrt_expsums
 from congruence_lab.cli import canonical_json, main
+from congruence_lab.densities import DiagonalForm
+from congruence_lab.errors import UnsupportedCase
+from congruence_lab.modmath import PrimePowerModulus
+from congruence_lab.representations import DualForm, singular_series
 
 
 def run_cli(args, **kwargs):
@@ -542,3 +547,83 @@ def test_canonical_json_formatting():
 
 def test_main_in_process():
     assert main(["eval-gauss", "1", "0", "5", "1", "--output", "/dev/null"]) == 0
+
+
+def _fields(record) -> dict:
+    """A record's fields by name, as its class declares them."""
+    if dataclasses.is_dataclass(record):
+        return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    return dict(zip(record._fields, record))
+
+
+_UNITS = st.sampled_from([1, 2, -1, 4, 7])
+_WEIGHTS = {"gaussian": counting.GAUSSIAN, "bump": counting.BUMP_PAIR, "sharp": counting.SHARP_CUTOFF}
+
+
+@st.composite
+def _record_case(draw):
+    """(argv, the library call whose record that argv reports) on small drawn inputs."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    mod = PrimePowerModulus(p, draw(st.integers(1, 3)))
+    unit = _UNITS.filter(lambda x: x % p)
+    units = st.lists(unit, min_size=1, max_size=3)
+    verb = draw(st.sampled_from(["count", "eval-gauss", "eval-kloosterman", "singular-series"]))
+    if verb == "count":
+        method = draw(st.sampled_from(["direct", "spectral"]))
+        mode = "inhom" if method == "spectral" else draw(st.sampled_from(["inhom", "hom"]))
+        weight = draw(st.sampled_from(["gaussian", "bump"] + (["sharp"] if method == "direct" else [])))
+        lams = draw(units) + ([draw(unit)] if mode == "inhom" else [])
+        N = draw(st.sampled_from([2.5, 6.0, 25.0]))
+        form = DiagonalForm(tuple(lams[:-1]), lams[-1]) if mode == "inhom" else DiagonalForm(tuple(lams))
+        w = counting.WeightSpec(_WEIGHTS[weight])
+        if method == "spectral":
+            call = lambda: counting.count_weighted_spectral(form, mod, N, w)  # noqa: E731
+        else:
+            kind = counting.UNIT_COORDS if mode == "inhom" else counting.NOT_ALL_ZERO
+            call = lambda: counting.count_weighted_direct(form, mod, N, w, kind)  # noqa: E731
+        argv = ["count", "--mode", mode, "--lambda", *map(str, lams), "--p", str(p), "--m", str(mod.m),
+                "--N", str(N), "--method", method, "--weight", weight]
+        return argv, call
+    if verb == "singular-series":
+        k, q_max = draw(st.integers(-5, 30)), draw(st.integers(1, 40))
+        deltas = draw(st.lists(unit, min_size=4, max_size=6))
+        argv = ["singular-series", str(k), "--deltas", *map(str, deltas), "--p", str(p), "--q-max", str(q_max)]
+        return argv, lambda: singular_series(k, DualForm(tuple(deltas)), p, q_max)
+    a, b = draw(st.integers(-2 * p, mod.q)), draw(st.integers(-2 * p, mod.q))  # p | a, p | b often
+    argv = [verb, str(a), str(b), str(p), str(mod.m)]
+    if verb == "eval-gauss":
+        return argv, lambda: charsums.gauss_sum_closed(a, b, mod)
+    salie = draw(st.booleans())
+    return argv + ["--salie"] * salie, lambda: (charsums.salie_closed if salie else charsums.kloosterman_closed)(a, b, mod)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_record_case())
+def test_report_is_the_records_fields(case):
+    """Each verb's report holds its library record's fields under their names:
+    a count with its weight as the kind, a closed sum with its terms as
+    {coeff, phase_num} (and a zero sum as is_zero alone), a series under k."""
+    argv, call = case
+    code, out, err = run_main(argv)
+    try:
+        record = call()
+    except UnsupportedCase as exc:
+        assert code == 0, err
+        assert json.loads(out)["closed_form"] == {"unsupported": str(exc)}
+        return
+    assert code == 0, err
+    verb = argv[0]
+    if verb == "count":
+        assert all(type(v) is int for v in record.cost.values()), record.cost
+        want = {**_fields(record), "weight": record.weight.kind}
+    elif verb == "singular-series":
+        want = {"k": int(argv[1]), **_fields(record)}
+    else:
+        closed = {"is_zero": True} if record.is_zero else _fields(record)
+        if verb == "eval-kloosterman" and not record.is_zero:
+            closed["terms"] = [{"coeff": c, "phase_num": ph} for c, ph in record.terms]
+        value = record.to_complex()
+        want = {"re": value.real, "im": value.imag, "closed_form": closed}
+        if verb == "eval-gauss":  # canonical_json writes a complex as {"re", "im"}
+            want["bruteforce"] = charsums.gauss_sum_bruteforce(*map(int, argv[1:3]), int(argv[3]) ** int(argv[4]))
+    assert json.loads(out) == json.loads(canonical_json(want)), argv

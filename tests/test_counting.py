@@ -207,13 +207,6 @@ def test_negative_coefficients_direct_and_spectral():
     assert abs(rs.T - rd.T) <= 0.01 * rd.T
 
 
-def test_spectral_zero_cutoff_reproduces_main_term_exactly():
-    g = gaussian_weight()
-    form = DiagonalForm((1, 1), 2)
-    rep = count_weighted_spectral(form, PrimePowerModulus(5, 2), 25.0, g, k_cutoff=0)
-    assert rep.T == rep.T0
-
-
 def test_spectral_small_N_uses_low_frequency_block():
     b = bump_pair_weight()
     form = DiagonalForm((1, 1, 1, 1, 1, 1), 1)

@@ -99,7 +99,6 @@ _INTEGER_ENTRY_POINTS = {
     "residue value": ("value", lambda: Residue(2.5, 7)),
     "residue modulus": ("modulus", lambda: Residue(2, 7.0)),
     "root classes r": ("r", lambda: sqrt_classes_mod_prime_power(2.5, _MOD)),
-    "spectral k_cutoff": ("k_cutoff", lambda: count_weighted_spectral(_FORM, _MOD, 25.0, _G, k_cutoff=2.5)),
     "poisson q": ("q", lambda: poisson_identity_check(_G, 5.0, 2, 10.0, 60)),
     "poisson a": ("a", lambda: poisson_identity_check(_G, 5, 2.5, 10.0, 60)),
     "poisson truncation": ("truncation", lambda: poisson_identity_check(_G, 5, 2, 10.0, 60.5)),

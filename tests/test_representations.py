@@ -695,8 +695,10 @@ def test_singular_series_charges_the_whole_series_up_front():
 def test_singular_series_coefficients_equal_singular_coefficient():
     for deltas, p, k in [((1, 1, 1, 1), 3, 1), ((1, 2, 4, 5, 7), 3, 11), ((2, 3, 1, 4, 1, 6), 5, 23)]:
         dual = DualForm(deltas)
-        data = singular_series(k, dual, p, 60)
-        assert data.coefficients == {q: singular_coefficient(q, k, dual, p) for q in range(1, 61)}
+        data = singular_series(k, dual, p, 630)
+        # 210 = 2 3 5 7, 330 = 2 3 5 11, 420 = 4 3 5 7, 630 = 2 9 5 7: four prime-power factors, p among them
+        qs = [*range(1, 61), 210, 330, 420, 630]
+        assert {q: data.coefficients[q] for q in qs} == {q: singular_coefficient(q, k, dual, p) for q in qs}
 
 
 @st.composite

@@ -9,12 +9,12 @@ A closed value is one shared tuple that carries its complex value.  A Gauss
 value, for moduli up to 2048, sits in a phase table, a list indexed by the one
 field that b moves (see ``_phase_table``); a Kloosterman/Salie value sits with
 the root of u^2 = ab that fixes it, at every modulus (see ``_root_part``).
+What a closed form caches is found by one ``dict.get`` on an int key.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -87,16 +87,17 @@ class KloostermanClosedForm(NamedTuple):
 class _Shared:
     """Mixin for a closed value built once to be shared: it carries its
     complex value, and its repr, copies, pickles and ``_make``/``_replace``
-    results are those of the NamedTuple ``_plain`` it extends."""
+    results are those of the NamedTuple ``_plain`` it extends.
+
+    Its ``to_complex`` is the instance attribute ``z.__pos__`` of its complex
+    value z: unary plus hands back z itself, in C, so reading the value runs
+    no Python frame.  The attribute shadows the plain class's method."""
 
     @classmethod
     def _build(cls, fields: tuple):
         value = tuple.__new__(cls, fields)
-        value._complex = cls._plain.to_complex(value)
+        value.to_complex = cls._plain.to_complex(value).__pos__
         return value
-
-    def to_complex(self) -> complex:
-        return self._complex
 
     @classmethod
     def _make(cls, iterable):
@@ -141,6 +142,17 @@ def gauss_sum_bruteforce(a: int, b: int, c: int) -> complex:
 # p^m <= 4096 stays cached; the bound keeps memory fixed on wider sweeps.
 _CACHE_SIZE = 4096
 
+
+def _store(cache: dict, key: int, value):
+    """cache[key] = value, the cache first emptied if it holds _CACHE_SIZE entries.
+    No lock is taken: racing threads can pass the cap by one entry each, until
+    the next emptying."""
+    if len(cache) >= _CACHE_SIZE:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 # A modulus q has at most ~1.2 q distinct Gauss values (counted over full
 # (a, b) grids up to 31^2), so up to _SHARED_MAX_Q each value is built once and
 # kept in a phase table.  Larger moduli build their Gauss values per call:
@@ -152,7 +164,7 @@ _SHARED_MAX_Q = _CACHE_SIZE // 2
 def _phase_table(key: tuple, size: int) -> list:
     """The Gauss phase table for key, made with size empty slots on first use.
     The tables hold at most _CACHE_SIZE slots: a table that would pass that
-    first empties them and ``_gauss_unit_part``, the cache that holds them, so
+    first empties them and ``_gauss_parts``, the cache that holds them, so
     a long-lived process keeps sharing the values of the moduli it sweeps now.
     No lock is taken: a race can only build two equal values, or leave the
     cache a table that the next emptying drops."""
@@ -160,25 +172,34 @@ def _phase_table(key: tuple, size: int) -> list:
     if table is None:
         if sum(map(len, _gauss_tables.values())) + size > _CACHE_SIZE:
             _gauss_tables.clear()
-            _gauss_unit_part.cache_clear()
+            _gauss_parts.clear()
         table = _gauss_tables.setdefault(key, [None] * size)
     return table
 
 
 _gauss_tables: dict[tuple[int, int, int], list] = {}
+# The closed-form caches, each keyed by one int that fixes its arguments.  A
+# residue 0 <= r < c keys as c^2 + r: the keys of c lie in [c^2, c^2 + c),
+# below (c + 1)^2, so no two moduli share one.
+_gauss_parts: dict[int, tuple] = {}  # (a, c) at c^2 + a
+_roots: dict[int, tuple] = {}  # (r, p^m) at c^2 + r
+_modulus_parts: dict[int, tuple] = {}  # (p^m, twisted) at 2 c + twisted
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, complex, int, list | None]:
-    """(d, c', (a'/c'), eps_{c'}, (4a')^{-1} mod c', values) for 0 <= a < c, where
+def _gauss_unit_part(a: int, c: int) -> tuple[int, int, int, int, complex, list | None]:
+    """(d, c', -(4a')^{-1} mod c', (a'/c'), eps_{c'}, values) for 0 <= a < c, where
     d = (a, c), a' = a/d and c' = c/d: everything in G(a, b, c) but b.
-    At a = 0 this is (c, 1, 1, 1, 0, values), the linear sum's c * e(0).
-    values is the phase table of (c, c', sign), None for c > _SHARED_MAX_Q."""
-    d = math.gcd(a, c)
-    a1, c1 = a // d, c // d
-    sign = jacobi_symbol(a1, c1)
-    values = _phase_table((c, c1, sign), c1) if c <= _SHARED_MAX_Q else None
-    return d, c1, sign, epsilon_c(c1), invmod(4 * a1, c1), values
+    At a = 0 this is (c, 1, 0, 1, 1, values), the linear sum's c * e(0).
+    values is the phase table of (c, c', sign), None for c > _SHARED_MAX_Q.
+    Kept in _gauss_parts, which ``gauss_sum_closed`` reads directly."""
+    part = _gauss_parts.get(c * c + a)
+    if part is None:
+        d = math.gcd(a, c)
+        a1, c1 = a // d, c // d
+        sign = jacobi_symbol(a1, c1)
+        values = _phase_table((c, c1, sign), c1) if c <= _SHARED_MAX_Q else None
+        part = _store(_gauss_parts, c * c + a, (d, c1, -invmod(4 * a1, c1) % c1, sign, epsilon_c(c1), values))
+    return part
 
 
 def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum:
@@ -193,13 +214,14 @@ def gauss_sum_closed(a: int, b: int, modulus: PrimePowerModulus) -> ExactCharSum
     if type(a) is not int or type(b) is not int:
         a, b = require_int("a", a), require_int("b", b)
     c = modulus.q
-    d, c1, sign, eps, inv_4a1, values = _gauss_unit_part(a % c, c)
+    a %= c
+    d, c1, neg_inv, sign, eps, values = _gauss_parts.get(c * c + a) or _gauss_unit_part(a, c)
     if d != 1:
         b %= c
         if b % d:
             return _SHARED_ZERO_CHAR_SUM
         b //= d
-    phase = (-inv_4a1 * b * b) % c1
+    phase = neg_inv * b * b % c1
     if values is None:
         # tuple.__new__ skips the NamedTuple's Python-level __new__
         return tuple.__new__(ExactCharSum, (False, d, sign, eps, c1, phase, c1))
@@ -234,28 +256,36 @@ def salie_bruteforce(a: int, b: int, c: int) -> complex:
     return total
 
 
-# Both caches take plain ints: a PrimePowerModulus key would run the
-# dataclass's Python __hash__ on every lookup.
-@lru_cache(maxsize=_CACHE_SIZE)
-def _root_part(r: int, p: int, m: int) -> tuple[int, list] | None:
-    """(v, values) for a unit r mod p^m, None when r is a non-residue: v < p^m/2
+def _root_part(r: int, p: int, m: int) -> tuple:
+    """(v, values) for a unit 0 < r < p^m, () when r is a non-residue: v < p^m/2
     is the smaller root of u^2 = r, and values has three slots, K0, K1 with
     sign 1 and K1 with sign -1 of every (a, b) with ab = r, each filled on
     first use.  So K0/K1 values are shared at every modulus, at most three per
-    cached root."""
-    if prime_tables(p).root[r % p] < 0:
-        return None
-    v = int(lift_sqrt_array(np.array([r], dtype=object), None, p, m)[0])
-    return min(v, p**m - v), [None] * 3
+    cached root.  Kept in _roots, where a missing root reads None and a
+    cached non-residue the falsy (), so that it never runs the lift again."""
+    c = p**m
+    part = _roots.get(c * c + r)
+    if part is None:
+        if prime_tables(p).root[r % p] < 0:
+            part = ()
+        else:
+            v = int(lift_sqrt_array(np.array([r], dtype=object), None, p, m)[0])
+            part = min(v, c - v), [None] * 3
+        _store(_roots, c * c + r, part)
+    return part
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _kloosterman_modulus_part(p: int, m: int, twisted: bool) -> tuple[complex, int, tuple[int, ...]]:
     """(eps_c, flip, ((x/c) = (x/p)^m for x mod p)) at c = p^m: the roots v, c - v
     of u^2 = ab add eps_c sign (e_c(2v) + flip e_c(-2v)) to the closed K0/K1
-    body, with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1 for K1."""
-    twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
-    return epsilon_c(p**m), 1 if twisted else jacobi_symbol(-1, p**m), twist
+    body, with sign = (v/c), flip = (-1/c) for K0 and sign = (b/c), flip = 1 for K1.
+    Kept in _modulus_parts."""
+    c = p**m
+    part = _modulus_parts.get(2 * c + twisted)
+    if part is None:
+        twist = tuple(int(sign) ** m for sign in prime_tables(p).legendre)
+        part = _store(_modulus_parts, 2 * c + twisted, (epsilon_c(c), 1 if twisted else jacobi_symbol(-1, c), twist))
+    return part
 
 
 def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twisted: bool) -> KloostermanClosedForm:
@@ -273,14 +303,18 @@ def _closed_kloosterman_salie(a: int, b: int, modulus: PrimePowerModulus, twiste
         raise UnsupportedCase(f"closed {'Salie' if twisted else 'Kloosterman'} form needs exponent m >= 2")
     a %= c
     b %= c
-    pa, pb = a % p == 0, b % p == 0
-    if pa and pb:
-        raise UnsupportedCase("p divides both arguments; use the brute-force sum")
-    root = None if pa or pb else _root_part(a * b % c, p, m)
+    if a % p == 0 or b % p == 0:
+        if a % p == 0 and b % p == 0:
+            raise UnsupportedCase("p divides both arguments; use the brute-force sum")
+        return _SHARED_ZERO_KLOOSTERMAN
+    r = a * b % c
+    root = _roots.get(c * c + r)
     if root is None:
+        root = _root_part(r, p, m)
+    if not root:
         return _SHARED_ZERO_KLOOSTERMAN
     v, values = root  # the roots are v < c/2 and c - v
-    eps, flip, twist = _kloosterman_modulus_part(p, m, twisted)
+    eps, flip, twist = _modulus_parts.get(2 * c + twisted) or _kloosterman_modulus_part(p, m, twisted)
     sign = twist[(b if twisted else v) % p]
     slot = sign if twisted else 0  # K0 in slot 0, K1 in slot 1 or -1 by its sign
     value = values[slot]

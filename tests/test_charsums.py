@@ -1,5 +1,6 @@
 import cmath
 import copy
+import gc
 import math
 import pickle
 import sys
@@ -481,12 +482,14 @@ def test_cached_kloosterman_salie_roots_match_uncached_oracle(p, m):
 
 def _assert_root_part_matches_the_root_classes(r, mod):
     """_root_part of the unit r holds the first root that sqrt_classes lists,
-    and three slots, or is None exactly when r has no root."""
+    and three slots, or is () exactly when r has no root; either is the entry
+    that _roots keeps at q^2 + r."""
     members = sqrt_classes_mod_prime_power(r, mod).members()
     root = charsums._root_part(r, mod.p, mod.m)
-    assert (root is None) == (not members), (r, mod)
-    if root is not None:
+    assert (root == ()) == (not members), (r, mod)
+    if members:
         assert root[0] == members[0] and len(root[1]) == 3, (r, mod)
+    assert charsums._roots.get(mod.q**2 + r) is root, (r, mod)
 
 
 @settings(max_examples=300, deadline=None)
@@ -499,16 +502,14 @@ def test_root_part_matches_the_root_classes_above_the_shared_limit_too(p, m, dat
 
 def test_closed_form_caches_stay_bounded(monkeypatch):
     big = PrimePowerModulus(3, 9)
-    for cache in (charsums._gauss_unit_part, charsums._root_part):
-        assert cache.cache_info().maxsize == charsums._CACHE_SIZE
     units = [x for x in range(1, big.q) if x % 3][: charsums._CACHE_SIZE + 100]
     for a in units:
         gauss_sum_closed(a, 1, big)
         kloosterman_closed(a, 1, big)
-    info = charsums._gauss_unit_part.cache_info()
-    assert 0 < info.currsize <= info.maxsize
-    value = charsums._gauss_unit_part(units[-1], big.q)
-    assert charsums._gauss_unit_part.cache_info().hits == info.hits + 1
+    for cache in _CLOSED_FORM_CACHES:
+        assert 0 < len(cache) <= charsums._CACHE_SIZE
+    value = charsums._gauss_parts[big.q**2 + units[-1]]
+    assert charsums._gauss_unit_part(units[-1], big.q) is value  # a hit hands out the cached entry
     assert isinstance(value, tuple)
     # immutable all the way down, but for the unit part's phase table: a list
     # shared by every a of one (q, q', sign), filled in place
@@ -520,10 +521,9 @@ def test_closed_form_caches_stay_bounded(monkeypatch):
             for closed_fn in (kloosterman_closed, salie_closed):
                 closed_fn(r * invmod(b, big.q), b, big)
         root = charsums._root_part(r, big.p, big.m)
-        if root is not None:
+        if root:
             assert len(root[1]) == 3 and all(type(v) is charsums._SharedKloosterman for v in root[1])
-    info = charsums._root_part.cache_info()
-    assert 0 < info.currsize <= info.maxsize
+    assert 0 < len(charsums._roots) <= charsums._CACHE_SIZE
     # 3^9 has more distinct Gauss values than the tables hold: no table, built
     # per call; a Kloosterman value lives with its root at every modulus
     assert big.q > charsums._SHARED_MAX_Q
@@ -543,15 +543,71 @@ def test_closed_form_caches_stay_bounded(monkeypatch):
             gauss.add(repr(gauss_sum_closed(a, 1, mod)))
             now = sum(map(len, tables.values()))
             assert now <= cap and len(_shared_values(tables)) <= cap
+            assert len(charsums._gauss_parts) <= cap
             drops += now < slots
             slots = now
     assert len(gauss) > cap and drops > 0
     # a table that would pass the cap empties the tables and the cache that
     # holds them, so no emptied table is handed out again
-    assert charsums._gauss_unit_part.cache_info().currsize > 0
+    assert charsums._gauss_parts
     charsums._phase_table(("probe",), cap)
-    assert list(tables) == [("probe",)] and charsums._gauss_unit_part.cache_info().currsize == 0
+    assert list(tables) == [("probe",)] and charsums._gauss_parts == {}
     assert gauss_sum_closed(2, 1, mod) is gauss_sum_closed(2, 1, mod)
+
+
+def test_a_cached_entry_is_never_rebuilt(monkeypatch):
+    """A warm call reads every part from its cache: with everything that builds a
+    part made to raise, the same values come out, a non-residue's () included."""
+    _clear_closed_form_caches()  # so that no cache is emptied between warming and reading
+    mod = PrimePowerModulus(5, 3)
+    c = mod.q
+    args = [(a, b) for a in (1, 2, 3, 25) for b in (1, 2, 3, 4, 7)]
+    want = {(fn, a, b): fn(a, b, mod) for a, b in args for fn in (gauss_sum_closed, kloosterman_closed, salie_closed)}
+    non_residue = next(r for r in range(1, c) if prime_tables(5).root[r % 5] < 0)
+    assert charsums._root_part(non_residue, 5, 3) == ()
+
+    def refuse(*args, **kw):
+        raise AssertionError("a cached part was built again")
+
+    for name in ("prime_tables", "lift_sqrt_array", "jacobi_symbol", "epsilon_c", "invmod", "_phase_table"):
+        monkeypatch.setattr(charsums, name, refuse)
+    assert all(fn(a, b, mod) is value for (fn, a, b), value in want.items())
+    assert charsums._root_part(non_residue, 5, 3) == ()
+    assert salie_closed(non_residue, 1, mod).is_zero
+
+
+_MIXED_MODULI = [PrimePowerModulus(p, m) for p, m in ((3, 1), (31, 1), (37, 1), (3, 2), (5, 2), (3, 3),
+                                                      (7, 2), (3, 4), (11, 2), (5, 3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MIXED_MODULI), st.integers(-250, 250), st.integers(-250, 250)),
+                min_size=1, max_size=90))
+def test_int_keyed_caches_under_a_small_cap_match_the_uncached_oracles(calls):
+    """Moduli on both sides of _SHARED_MAX_Q, interleaved under a cap of 64, so
+    that every cache is emptied mid-run and keys of different moduli meet in
+    one dict: each value is the uncached oracle's, bit for bit, and no cache or
+    table passes the cap."""
+    cap = 64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charsums, "_CACHE_SIZE", cap)
+        mp.setattr(charsums, "_SHARED_MAX_Q", cap // 2)
+        _clear_closed_form_caches()
+        assert any(mod.q <= cap // 2 for mod in _MIXED_MODULI) and any(mod.q > cap // 2 for mod in _MIXED_MODULI)
+        for mod, a, b in calls:
+            got = gauss_sum_closed(a, b, mod)
+            want = _gauss_closed_reference(a, b, mod)
+            assert repr(got) == repr(want) and _field_types(got) == _field_types(want), (a, b, mod)
+            assert repr(got.to_complex()) == repr(_exact_to_complex_reference(want)), (a, b, mod)
+            if mod.m >= 2 and (a % mod.p or b % mod.p):
+                for twisted, closed_fn in ((False, kloosterman_closed), (True, salie_closed)):
+                    got = closed_fn(a, b, mod)
+                    want = _kloosterman_salie_reference(a, b, mod, twisted)
+                    assert repr(got) == repr(want) and _field_types(got) == _field_types(want), (a, b, mod)
+                    assert repr(got.to_complex()) == repr(_kloosterman_to_complex_reference(want)), (a, b, mod)
+            assert all(len(cache) <= cap for cache in _CLOSED_FORM_CACHES)
+            assert sum(map(len, charsums._gauss_tables.values())) <= cap
+    _clear_closed_form_caches()
 
 
 def _shared_values(tables):
@@ -559,11 +615,14 @@ def _shared_values(tables):
     return [value for table in tables.values() for value in table if value is not None]
 
 
+_CLOSED_FORM_CACHES = (charsums._gauss_parts, charsums._roots, charsums._modulus_parts)
+
+
 def _clear_closed_form_caches():
-    for cache in (charsums._gauss_unit_part, charsums._root_part, charsums._kloosterman_modulus_part,
-                  modmath.unit_root):
-        cache.cache_clear()
+    for cache in _CLOSED_FORM_CACHES:
+        cache.clear()
     charsums._gauss_tables.clear()
+    modmath.unit_root.cache_clear()
 
 
 def _field_types(value):
@@ -737,8 +796,9 @@ def test_a_warm_row_hands_out_shared_values():
                 + [closed_fn(7, b, mod) for b in range(1, c, 5) for closed_fn in (kloosterman_closed, salie_closed)])
 
     def cache_state():
-        caches = (charsums._gauss_unit_part, charsums._root_part, charsums._kloosterman_modulus_part, modmath.unit_root)
-        return [cache.cache_info().misses for cache in caches] + [len(_shared_values(charsums._gauss_tables))]
+        # a miss stores a new entry, so equal keys held by the same objects mean none
+        entries = [[(key, id(entry)) for key, entry in cache.items()] for cache in _CLOSED_FORM_CACHES]
+        return entries + [modmath.unit_root.cache_info().misses, len(_shared_values(charsums._gauss_tables))]
 
     _clear_closed_form_caches()
     first = row()
@@ -758,8 +818,8 @@ def test_a_spectral_count_keeps_no_kloosterman_value_or_table():
     _clear_closed_form_caches()
     mod = PrimePowerModulus(5, 5)
     count_weighted_spectral(DiagonalForm((1,) * 6, 1), mod, float(math.ceil(mod.q**0.55)), gaussian_weight())
-    assert charsums._kloosterman_modulus_part.cache_info().currsize > 0
-    assert charsums._root_part.cache_info().currsize == 0
+    assert charsums._modulus_parts
+    assert charsums._roots == {}
     for m in range(2, mod.m + 1):
         for twisted in (False, True):
             part = charsums._kloosterman_modulus_part(mod.p, m, twisted)
@@ -905,37 +965,47 @@ def test_unit_root_cache_is_bounded_and_sweeps_past_it_match():
 
 
 def _python_calls(thunk):
-    """Names of the Python frames entered while thunk runs (C calls, such as a
-    lru_cache hit or tuple.__new__, raise no call event)."""
+    """Names of the Python frames entered while thunk runs, thunk's own first
+    (C calls, such as a dict.get or tuple.__new__, raise no call event).  The
+    collector is off meanwhile, so that no __del__ it runs adds a frame."""
     names = []
 
     def profile(frame, event, arg):
         if event == "call":
             names.append(frame.f_code.co_name)
 
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         thunk()
     finally:
         sys.setprofile(None)
-    assert names[0] == "<lambda>"
-    return names[1:]
+        if was_enabled:
+            gc.enable()
+    return names
 
 
 @pytest.mark.parametrize("a,b", [(12, 345), (0, 0), (7, 14)])
 def test_warm_gauss_call_enters_two_python_frames(a, b):
-    mod = PrimePowerModulus(7, 4)
+    """The thunk's frame and gauss_sum_closed's: the shared value's to_complex
+    runs in C.  (Above _SHARED_MAX_Q, as at 7^4, the value is built per call and
+    its to_complex is the plain Python method.)"""
+    mod = PrimePowerModulus(7, 3)
+    assert mod.q <= charsums._SHARED_MAX_Q
     thunk = lambda: gauss_sum_closed(a, b, mod).to_complex()  # noqa: E731
     thunk()
-    assert _python_calls(thunk) == ["gauss_sum_closed", "to_complex"]
+    assert _python_calls(thunk) == ["<lambda>", "gauss_sum_closed"]
 
 
 @pytest.mark.parametrize("closed_fn", [kloosterman_closed, salie_closed])
 def test_warm_kloosterman_salie_call_enters_three_python_frames(closed_fn):
+    """The thunk's frame and at most two more: the public name and the closed body."""
     mod = PrimePowerModulus(5, 3)
     thunk = lambda: closed_fn(2, 3, mod).to_complex()  # noqa: E731
     assert thunk() != 0
     calls = _python_calls(thunk)
-    assert calls == [closed_fn.__name__, "_closed_kloosterman_salie", "to_complex"]
+    assert calls == ["<lambda>", closed_fn.__name__, "_closed_kloosterman_salie"]
     # a NamedTuple's generated __new__ is a code object named "<lambda>"
-    assert not {"__new__", "<lambda>", "__hash__", "additive_character"} & set(calls)
+    assert not {"__new__", "to_complex", "__hash__", "additive_character"} & set(calls)
+    assert calls.count("<lambda>") == 1

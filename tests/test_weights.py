@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from congruence_lab.counting import (
+    _BUMP_FHAT0,
+    _BUMP_SCAN_STEP,
     _BUMP_T_MAX,
     _FOLDED_NODES,
     _FOLDED_WEIGHTS,
@@ -24,6 +26,7 @@ from congruence_lab.counting import (
     WeightSpec,
     _bump_fhat,
     _bump_fhat_grid,
+    _bump_scan,
     bump_pair_weight,
     gaussian_weight,
     sharp_cutoff_weight,
@@ -230,6 +233,20 @@ def test_bump_table_accuracy_against_mpmath():
     worst = np.abs(_bump_fhat_grid(radius / N, X + 1)[xs] - exact).max()
     assert X == 8965
     assert worst <= 1e-15 * exact[0]
+
+
+def test_bump_scan_matches_the_node_sum_scan():
+    """The scan takes |fhat| on its grid from the grid product; the node sums it
+    replaced stay its oracle: the same cutoff t* = 22.08, bit for bit, and suffix
+    maxima within 1e-15 of fhat(0)."""
+    t_star, suffix_max = _bump_scan()
+    ts = np.arange(0.0, _BUMP_T_MAX + _BUMP_SCAN_STEP / 2, _BUMP_SCAN_STEP)
+    mag = np.abs(_bump_fhat(ts))
+    last = np.nonzero(mag >= 1e-6 * mag[0])[0][-1]
+    assert t_star == float(ts[last] + _BUMP_SCAN_STEP) == 22.08
+    oracle = np.maximum.accumulate(mag[::-1])[::-1]
+    assert suffix_max.shape == oracle.shape
+    assert np.abs(suffix_max - oracle).max() <= 1e-15 * _BUMP_FHAT0
 
 
 @settings(max_examples=10, deadline=None)  # the oracle takes ~2 s at the largest box, X = 2.2e6

@@ -989,13 +989,25 @@ def _python_calls(thunk):
 @pytest.mark.parametrize("a,b", [(12, 345), (0, 0), (7, 14)])
 def test_warm_gauss_call_enters_two_python_frames(a, b):
     """The thunk's frame and gauss_sum_closed's: the shared value's to_complex
-    runs in C.  (Above _SHARED_MAX_Q, as at 7^4, the value is built per call and
-    its to_complex is the plain Python method.)"""
+    runs in C.  This holds up to _SHARED_MAX_Q; the per-call path above it is
+    pinned by the next test."""
     mod = PrimePowerModulus(7, 3)
     assert mod.q <= charsums._SHARED_MAX_Q
     thunk = lambda: gauss_sum_closed(a, b, mod).to_complex()  # noqa: E731
     thunk()
     assert _python_calls(thunk) == ["<lambda>", "gauss_sum_closed"]
+
+
+@pytest.mark.parametrize("a,b", [(12, 345), (0, 0), (7, 14)])
+def test_warm_gauss_call_above_the_shared_limit_enters_three_python_frames(a, b):
+    """Above _SHARED_MAX_Q the value is built per call with tuple.__new__, so
+    no NamedTuple __new__ frame runs (its code object is also a "<lambda>"),
+    a warm call enters no _gauss_unit_part, and to_complex is the plain method."""
+    mod = PrimePowerModulus(7, 4)
+    assert mod.q > charsums._SHARED_MAX_Q
+    thunk = lambda: gauss_sum_closed(a, b, mod).to_complex()  # noqa: E731
+    thunk()
+    assert _python_calls(thunk) == ["<lambda>", "gauss_sum_closed", "to_complex"]
 
 
 @pytest.mark.parametrize("closed_fn", [kloosterman_closed, salie_closed])

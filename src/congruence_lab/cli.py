@@ -2,8 +2,10 @@
 
 Every verb prints a machine-readable report (json, csv or plain key:value)
 with deterministic byte output: floats are serialized with 17 significant
-digits, dictionary keys are sorted, and nothing time- or host-dependent is
-emitted.  Exit codes: 0 success, 2 validation error, 3 budget exceeded.
+digits, dictionary keys are sorted (a csv table's columns follow its rows'
+key order), and nothing time- or host-dependent is emitted.  Handlers return
+a dict and only this module turns it into text.  Exit codes: 0 success,
+2 validation error, 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def canonical_json(value, indent: int = 0) -> str:
+def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     if isinstance(value, dict):
         items = ",".join(
@@ -67,13 +69,8 @@ def canonical_json(value, indent: int = 0) -> str:
     return json.dumps(str(value))
 
 
-def _emit(data, fmt: str, out_path: str | None, csv_text: str | None = None) -> None:
-    if fmt == "json":
-        text = canonical_json(data) + "\n"
-    elif fmt == "csv":
-        text = csv_text if csv_text is not None else _dict_to_csv(data)
-    else:
-        text = _to_plain(data)
+def _write(text: str, out_path: str | None) -> None:
+    """The one writer of report text: to the --output file, or else stdout."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -81,21 +78,29 @@ def _emit(data, fmt: str, out_path: str | None, csv_text: str | None = None) -> 
         sys.stdout.write(text)
 
 
-def _dict_to_csv(data) -> str:
-    if isinstance(data, dict) and isinstance(data.get("rows"), list):
-        rows = data["rows"]
-        if rows:
-            keys = sorted(rows[0])
-            lines = [",".join(keys)]
-            for row in rows:
-                lines.append(",".join(_plain_scalar(row[k]) for k in keys))
-            return "\n".join(lines) + "\n"
-    if isinstance(data, dict):
+def _emit(data: dict, fmt: str, out_path: str | None) -> None:
+    if fmt == "json":
+        text = canonical_json(data) + "\n"
+    elif fmt == "csv":
+        text = _dict_to_csv(data)
+    else:
+        text = _to_plain(data)
+    _write(text, out_path)
+
+
+def _dict_to_csv(data: dict) -> str:
+    """A report's ``rows`` as a table, columns in the rows' key order and
+    None as an empty cell; any other report as key,value lines."""
+    rows = data.get("rows")
+    if isinstance(rows, list) and rows:
+        lines = [",".join(rows[0])]
+        for row in rows:
+            lines.append(",".join("" if v is None else _plain_scalar(v) for v in row.values()))
+    else:
         lines = ["key,value"]
         for k in sorted(data):
             lines.append(f"{k},{_plain_scalar(data[k])}")
-        return "\n".join(lines) + "\n"
-    return _plain_scalar(data) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _plain_scalar(v) -> str:
@@ -110,20 +115,18 @@ def _plain_scalar(v) -> str:
     return str(v)
 
 
-def _to_plain(data, prefix: str = "") -> str:
-    if isinstance(data, dict):
-        out = []
-        for k in sorted(data, key=str):
-            v = data[k]
-            if isinstance(v, dict):
-                out.append(_to_plain(v, prefix=f"{prefix}{k}."))
-            elif isinstance(v, list) and v and isinstance(v[0], dict):
-                for i, row in enumerate(v):
-                    out.append(_to_plain(row, prefix=f"{prefix}{k}[{i}]."))
-            else:
-                out.append(f"{prefix}{k}: {_plain_scalar(v)}")
-        return "\n".join(out) + ("\n" if not prefix else "")
-    return _plain_scalar(data) + "\n"
+def _to_plain(data: dict, prefix: str = "") -> str:
+    out = []
+    for k in sorted(data, key=str):
+        v = data[k]
+        if isinstance(v, dict):
+            out.append(_to_plain(v, prefix=f"{prefix}{k}."))
+        elif isinstance(v, list) and v and isinstance(v[0], dict):
+            for i, row in enumerate(v):
+                out.append(_to_plain(row, prefix=f"{prefix}{k}[{i}]."))
+        else:
+            out.append(f"{prefix}{k}: {_plain_scalar(v)}")
+    return "\n".join(out) + ("\n" if not prefix else "")
 
 
 def _weight_from_args(args) -> WeightSpec:
@@ -257,11 +260,11 @@ def _cmd_verify_asymptotic(args) -> dict:
         mod = PrimePowerModulus(args.p, m)
         N = _resolve_N(args, mod.q)
         rep = counting.count_weighted_direct(form, mod, N, w, mode, budget=args.budget)
-        rows.append({"m": m, "q": mod.q, "N": N, "T": rep.T, "T0": rep.T0, "ratio": rep.ratio})
+        rows.append({"N": N, "T": rep.T, "T0": rep.T0, "m": m, "q": mod.q, "ratio": rep.ratio})
     return {"rows": rows, "mode": args.mode, "p": args.p, "lambdas": list(args.lam)}
 
 
-def _cmd_expsum_scan(args) -> tuple[dict, str]:
+def _cmd_expsum_scan(args) -> dict:
     from . import sqrt_expsums
 
     rows = sqrt_expsums.bound_scan(
@@ -273,16 +276,22 @@ def _cmd_expsum_scan(args) -> tuple[dict, str]:
         k_cap=args.k_cap,
         budget=args.budget,
     )
-    csv_text = sqrt_expsums.scan_rows_to_csv(rows)
-    max_norm = max(r.normalized for r in rows)
-    data = {
+    if args.format == "csv":
+        # the table lists every row; json and plain summarise the scan
+        return {
+            "rows": [
+                {**dataclasses.asdict(r.params), "re": r.value.real, "im": r.value.imag, "abs": abs(r.value),
+                 "normalized": r.normalized}
+                for r in rows
+            ]
+        }
+    return {
         "p": args.p,
         "seed": args.seed,
         "trials": args.trials,
         "rows": len(rows),
-        "max_normalized": max_norm,
+        "max_normalized": max(r.normalized for r in rows),
     }
-    return data, csv_text
 
 
 def _cmd_tau(args) -> dict:
@@ -427,12 +436,7 @@ def _selftest_lines(quick: bool, seed: int) -> tuple[list[str], bool]:
 
 def _cmd_selftest(args) -> int:
     lines, ok = _selftest_lines(args.quick, args.seed)
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return 0 if ok else 1
 
 
@@ -516,12 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c-max", type=int, default=64)
     sp.add_argument("--k-cap", type=int, default=100_000)
     _add_common(sp)
-
-    def run_scan(a):
-        data, csv_text = _cmd_expsum_scan(a)
-        _emit(data, a.format, a.output, csv_text=csv_text)
-
-    sp.set_defaults(func=run_scan)
+    sp.set_defaults(func=lambda a: _emit(_cmd_expsum_scan(a), a.format, a.output))
 
     sp = subs.add_parser("tau", help="weighted representation count by the dual form")
     sp.add_argument("k", type=int)

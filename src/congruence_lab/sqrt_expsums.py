@@ -21,9 +21,8 @@ and become ``SqrtSumParams`` only at the end.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -279,14 +278,15 @@ SCAN_WINDOW = 1 << 14
 
 
 def _lcg_jumps(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 (A, C) with state_i = A[i] * state_0 + C[i] mod 2^64, i < count."""
-    A = np.ones(1, dtype=np.uint64)
-    C = np.zeros(1, dtype=np.uint64)
-    while len(A) < count:
-        # state_(m+i) = A[i] * state_m + C[i], with state_m = A_m * state_0 + C_m
-        A_m, C_m = A[-1:] * _LCG_MULT, C[-1:] * _LCG_MULT + _LCG_INC
-        A, C = np.concatenate((A, A * A_m)), np.concatenate((C, A * C_m + C))
-    return A[:count], C[:count]
+    """uint64 (A, C) with state_i = A[i] * state_0 + C[i] mod 2^64, i < count:
+    A[i] = MULT^i and C[i] = INC * (A[0] + ... + A[i - 1]), both wrapping."""
+    A = np.full(count, _LCG_MULT, dtype=np.uint64)
+    A[0] = 1
+    np.cumprod(A, out=A)
+    C = np.cumsum(A)
+    C -= A
+    C *= np.uint64(_LCG_INC)
+    return A, C
 
 
 def _row_starts(row_end: np.ndarray, left: int) -> np.ndarray:
@@ -424,17 +424,3 @@ def bound_scan(
         for ps, value in zip(_params(p, s, columns), _root_sums(p, s, columns)):
             rows.append(BoundScanRow(ps, value, abs(value) / denom))
     return rows
-
-
-SCAN_CSV_COLUMNS = [f.name for f in fields(SqrtSumParams)] + ["re", "im", "abs", "normalized"]
-
-
-def scan_rows_to_csv(rows: list[BoundScanRow]) -> str:
-    """Render scan rows as CSV: the fields of ``SqrtSumParams``, then the value."""
-    out = io.StringIO()
-    out.write(",".join(SCAN_CSV_COLUMNS) + "\n")
-    for row in rows:
-        cells = ["" if v is None else str(v) for v in astuple(row.params)]
-        cells += (format(x, ".17g") for x in (row.value.real, row.value.imag, abs(row.value), row.normalized))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()

@@ -212,6 +212,109 @@ def test_readme_examples_are_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_README_SHA256[command]
 
 
+# SHA-256 of the stdout of every verb in every format, recorded while the
+# scan CSV still had a writer of its own in sqrt_expsums: a key,value table
+# (count), a row table (verify-asymptotic, expsum-scan), plain rows and
+# nested records; selftest prints the same lines in every format
+PINNED_FORMAT_SHA256 = {
+    "eval-gauss 10 5 5 3 --format json":
+        "3b2ecddb9cac36154667a6d81b7534191950bdbb42e509ffb9b3b49388d37780",
+    "eval-gauss 10 5 5 3 --format csv":
+        "32b4b873297f76c4652979c3b3e6b93834384a2edef2408070d5a773b188eb6d",
+    "eval-gauss 10 5 5 3 --format plain":
+        "cbbc75807612a264adc5a96f36be193536370c9a6cb7cd2af7cc292504a52d10",
+    "eval-kloosterman 7 13 5 3 --salie --format json":
+        "8f620397af455f1550fd3c60359603776812a9e41c8e12bc0ed9ae5a4099dfe0",
+    "eval-kloosterman 7 13 5 3 --salie --format csv":
+        "bd11e4859b2afc3035d7e137bf0e24133287d0ff9f4b2eff923b892d06ff20a1",
+    "eval-kloosterman 7 13 5 3 --salie --format plain":
+        "01b64e09043bb428bfc7eca40178678e7d5cdd491951f8bba8cd19012d2122a6",
+    "density B --lambda 1 1 2 --p 5 --format json":
+        "8b4a3bf6b5e83b1505be88a9a66a6f2bb9cd8bdf5ed3e84e49b2c80c6ef377b5",
+    "density B --lambda 1 1 2 --p 5 --format csv":
+        "030e7ffaf3351f12b274dc77a07c5d44f3612c54815a2216c402640a5fde44ca",
+    "density B --lambda 1 1 2 --p 5 --format plain":
+        "e97a2cf4e79fb053da9a2c2ff14006b39e9922ae5f8e173381b02a7cd6cf6945",
+    "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --format json":
+        "cd89b9eaefae0b3a926d563ee6938af71f0242952fe6f1f871c0455eb85576e0",
+    "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --format csv":
+        "61ee069ead9e5916a8cf64756b4b2e93879de417827e6b7bb71bd53e7d64bce1",
+    "count --mode inhom --lambda 1 1 2 --p 5 --m 2 --N 25 --format plain":
+        "eb6ca45e440146f26bb7b1612d288b14c9a88d8a6610b29527b9cac5aaf79509",
+    "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..4 --theta 0.6 --format json":
+        "b6e3d29e578541032b486bd131cefd6ef75f7605b656b5821a7d4173023d44e2",
+    "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..4 --theta 0.6 --format csv":
+        "d032cd38e56ac79d1e22046fc35e3d660c23ffee7f4c1a44aff0c40738cd8ac6",
+    "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..4 --theta 0.6 --format plain":
+        "aad8371e95fa24761c72602b631e8361e9632480b717dc6acf650736a4bb6fef",
+    "expsum-scan --p 3 --s-range 2..4 --trials 5 --seed 11 --format json":
+        "92f0115976920a72c0a76e99423bb2600f08ebb8984ff421360b6c2a89937b37",
+    "expsum-scan --p 3 --s-range 2..4 --trials 5 --seed 11 --format csv":
+        "7431c484fc9cd6ef7ebb911314d7299f224828bf4bcc9059d7186dd5ca375785",
+    "expsum-scan --p 3 --s-range 2..4 --trials 5 --seed 11 --format plain":
+        "5e71e2038746da47b28d9d6ed2fa46a804abfd467a855abc52e28e99eb225953",
+    "tau 2 --deltas 1 1 --p 3 --m 5 --N 10 --format json":
+        "2c49e591ec01f3d7feefcbb57256939cebb9762c64b595102d12734b02687afb",
+    "tau 2 --deltas 1 1 --p 3 --m 5 --N 10 --format csv":
+        "bcf30dfa2df9a096dafa68a9c621e4cae84154c2a52efa3ca81cf661e19de220",
+    "tau 2 --deltas 1 1 --p 3 --m 5 --N 10 --format plain":
+        "a614272b0220865ce8fcc39eafdc3a9ad86c33a5a8f4637c3e6e2df1c90da2e6",
+    "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format json":
+        "87fa14188a316eb5db4bc1c4c7b38314e97832d9e6fd9ad219ea4a0a31624480",
+    "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format csv":
+        "b924573c002d9f659922b4af88e489502e8109606ccde5e3311a7c15bb71f1f2",
+    "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format plain":
+        "3f883e1855859181631e08b4ddcdffb3f3f996f3ed6e615c4ecbdf00ac714193",
+    "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1 --format json":
+        "c0a87520b9d9692510fca6abd3e3023b745d86d330a4a3244cb47e0943ae895b",
+    "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1 --format csv":
+        "37736a50a507174eccc50abdb1faa918000389caf50a3c61683016d208118836",
+    "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1 --format plain":
+        "154db34634b117cc472c504d28aba298d6f1f2561d32527a0670e40a5e77c58e",
+    "selftest --quick --format json":
+        "9536077ae6fb1a53231f16733b454eb47f20d2e79537942282ec2b8c165a4301",
+    "selftest --quick --format csv":
+        "9536077ae6fb1a53231f16733b454eb47f20d2e79537942282ec2b8c165a4301",
+    "selftest --quick --format plain":
+        "9536077ae6fb1a53231f16733b454eb47f20d2e79537942282ec2b8c165a4301",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_FORMAT_SHA256))
+def test_every_verb_and_format_is_pinned(command):
+    code, out, err = run_main(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FORMAT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", [
+    "expsum-scan --p 3 --s-range 2..4 --trials 5 --seed 11 --format csv",
+    "verify-asymptotic --mode hom --lambda 1 1 1 1 --p 3 --m-range 3..4 --theta 0.6 --format plain",
+    "selftest --quick",
+])
+def test_output_file_holds_the_stdout_bytes(tmp_path, command):
+    path = tmp_path / "report"
+    code, out, err = run_main([*command.split(), "--output", str(path)])
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text() == run_main(command.split())[1]
+
+
+def test_scan_csv_is_one_table_row_per_scan_row():
+    code, out, err = run_main(["expsum-scan", "--p", "3", "--s-range", "2..5", "--trials", "8",
+                               "--seed", "99", "--format", "csv"])
+    assert (code, err) == (0, "")
+    lines = out.strip().split("\n")
+    rows = sqrt_expsums.bound_scan(3, range(2, 6), 8, seed=99)
+    columns = [f.name for f in dataclasses.fields(sqrt_expsums.SqrtSumParams)] + ["re", "im", "abs", "normalized"]
+    assert lines[0] == ",".join(columns)
+    assert len(lines) == len(rows) + 1
+    assert all(len(line.split(",")) == len(columns) for line in lines)
+    # the exact zeros of the paired sums are positive zeros
+    assert "-0" not in {field for line in lines for field in line.split(",")}
+    # an aggregate row's class a is an empty cell
+    assert [line.split(",")[3] for line in lines[1:]] == ["" if r.params.a is None else str(r.params.a) for r in rows]
+
+
 def test_tau_and_singular_series_and_quad():
     res = run_cli(["tau", "2", "--deltas", "1", "1", "--p", "3", "--m", "5", "--N", "10"])
     assert json.loads(res.stdout)["tau"] > 0
@@ -235,6 +338,12 @@ def test_spectral_count_refuses_N_to_the_n_beyond_the_float_range():
     code, out, err = run_main(INHOM_COUNT + ["--N", "1e300", "--method", "spectral"])
     assert (code, out) == (2, "")
     assert "float range" in err
+
+
+def test_spectral_count_refuses_the_sharp_weight():
+    # the sharp cutoff's sinc transform has no finite Fourier cutoff
+    code, out, err = run_main(INHOM_COUNT + ["--N", "25", "--weight", "sharp", "--method", "spectral"])
+    assert (code, out, err) == (2, "", "error: weight's Fourier tail never becomes negligible\n")
 
 
 @pytest.mark.parametrize("r", ["1000", "10000000"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from congruence_lab.errors import EvenModulus, NotInvertible, ValidationError
 from congruence_lab.modmath import (
     LIFT_SEED_LIMIT,
+    MAX_PRIME,
     PrimePowerModulus,
     Residue,
     RootClassSet,
@@ -18,6 +19,7 @@ from congruence_lab.modmath import (
     mod_inverse,
     mod_pow,
     prime_tables,
+    require_odd_prime,
     sqrt_classes_mod_prime_power,
     sqrt_mod_prime,
 )
@@ -226,6 +228,30 @@ def test_modulus_validation():
         PrimePowerModulus(1048573, 7)
     with pytest.raises(ValidationError):
         PrimePowerModulus(3, 61)
+
+
+def _sieve(limit: int) -> bytearray:
+    """Eratosthenes: sieve[n] == 1 exactly when n < limit is prime."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, limit, f)))
+    return sieve
+
+
+def test_odd_prime_validator_agrees_with_a_sieve():
+    # odd composites whose least factor is 5 or more (25, 35, 49, ...) leave the
+    # trial-division loop as composites; 1_048_573 is the largest prime below 2^20
+    sieve = _sieve(MAX_PRIME + 1)
+    for n in [*range(4096), 1_048_571, 1_048_573, 1_048_575, MAX_PRIME]:
+        want = n % 2 == 1 and n < MAX_PRIME and sieve[n]
+        try:
+            require_odd_prime(n)
+            got = True
+        except ValidationError:
+            got = False
+        assert got == want, n
 
 
 def test_modulus_takes_numpy_integers_as_python_ints():

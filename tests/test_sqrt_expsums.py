@@ -18,11 +18,9 @@ from congruence_lab.modmath import (
 )
 from congruence_lab import modmath, sqrt_expsums
 from congruence_lab.sqrt_expsums import (
-    SCAN_CSV_COLUMNS,
     BoundScanRow,
     SqrtSumParams,
     bound_scan,
-    scan_rows_to_csv,
     sqrt_root_sum,
 )
 
@@ -157,19 +155,12 @@ def test_param_validation():
         SqrtSumParams(p=3, s=2, Lambda=1, a=1, b=0, c=1, K=5, mu=2)
 
 
-def test_scan_determinism_and_csv():
+def test_scan_determinism():
     rows1 = bound_scan(3, range(2, 6), 8, seed=99)
     rows2 = bound_scan(3, range(2, 6), 8, seed=99, threads=3)
     assert [(r.params, r.value, r.normalized) for r in rows1] == [
         (r.params, r.value, r.normalized) for r in rows2
     ]
-    csv_text = scan_rows_to_csv(rows1)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == ",".join(SCAN_CSV_COLUMNS)
-    assert len(lines) == len(rows1) + 1
-    assert all(len(line.split(",")) == len(SCAN_CSV_COLUMNS) for line in lines)
-    # the exact zeros of the paired sums are positive zeros
-    assert "-0" not in {field for line in lines for field in line.split(",")}
 
 
 @pytest.mark.parametrize("kwargs, name", [({"c_max": 0}, "c_max"), ({"k_cap": 0}, "k_cap"), ({"k_cap": -5}, "k_cap")])
@@ -196,6 +187,27 @@ def test_refused_scan_stops_drawing_at_the_row_that_crosses_the_budget():
     total = sum(int((K // c + 1).sum()) for c, K in windows)
     assert budget - (k_cap + 1) < total <= budget
     assert sum(len(K) for _, K in windows) < 9 * 10_000
+
+
+def _scan_outcome(window):
+    """A default-budget scan's rows and a refused scan's charges, with ``window`` draws per first window."""
+    with mock.patch.object(sqrt_expsums, "SCAN_WINDOW", window), \
+            mock.patch.object(sqrt_expsums, "charge", wraps=sqrt_expsums.charge) as charge:
+        rows = bound_scan(5, range(2, 7), 12, seed=7)
+        with pytest.raises(BudgetExceeded, match="bound scan needs"):
+            bound_scan(3, range(2, 11), 500, seed=1, k_cap=1000, budget=10**4)
+    return rows, charge.call_args_list
+
+
+@pytest.mark.parametrize("window", [1, 5])
+def test_windows_too_narrow_for_a_row_double_until_one_fits(window):
+    # a row takes at least 5 draws, so a 1-draw window never holds one and a
+    # 5-draw window only sometimes; the doubled windows draw the same rows
+    # and refuse at the same row, charging the same total
+    with mock.patch.object(sqrt_expsums, "_row_starts", wraps=sqrt_expsums._row_starts) as starts:
+        got = _scan_outcome(window)
+    assert {len(call.args[0]) for call in starts.call_args_list} > {window}
+    assert got == _scan_outcome(sqrt_expsums.SCAN_WINDOW)
 
 
 def test_k_cap_is_charged_and_drawn_unclamped():

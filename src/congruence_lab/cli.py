@@ -277,7 +277,9 @@ def _cmd_expsum_scan(args) -> dict:
         budget=args.budget,
     )
     if args.format == "csv":
-        # the table lists every row; json and plain summarise the scan
+        # the one handler that reads the format: the table has always listed
+        # every row, while json and plain summarise the scan, and both keep
+        # their bytes; the renderer still owns how either becomes text
         return {
             "rows": [
                 {**dataclasses.asdict(r.params), "re": r.value.real, "im": r.value.imag, "abs": abs(r.value),

@@ -171,23 +171,13 @@ class _TableCache:
         return table
 
 
-# A table mod q takes 32 q bytes (complex long double), and tables are built
-# at q = 1 and at prime powers only: every table of a q_max = 100 series
-# (~44 KB per form and prime, ~44 KB of square sums per prime, ~44 KB of
-# unit roots) stays cached, and a series to any q_max leaves at most this
-# many bytes of its last tables behind.
+# A table mod q takes 16 q bytes, and tables are built at q = 1 and at prime
+# powers only: every table of a q_max = 100 series (~22 KB per form and
+# prime, ~22 KB of square sums per prime, ~22 KB of unit roots) stays cached,
+# and a series to any q_max leaves at most this many bytes of its last
+# tables behind.
 _PHASE_TABLE_BYTES = 8 << 20
 _PHASE_TABLES = _TableCache(_PHASE_TABLE_BYTES)
-
-# The coefficients are summed and multiplied in long double (a 64-bit
-# mantissa on x86-64 Linux) and rounded to a float once, at the end.  Over
-# the forms Delta_j = d (n = 4..6, p = 3, 5, 7, q <= 150) the double DFT,
-# products and cancelling phase sum were up to 3.9e-15 from the exact
-# rational a_q (3.6e-15 on a_95 = 6.45 of (19, 19, 19, 19) at p = 5), and
-# the direct and the factorized a_q differed by up to 6.2e-15; in long
-# double each is within half an ulp of it.  Where long double is double,
-# the values are the plain double sums.
-_PI = np.longdouble("3.141592653589793238462643383279502884")
 
 
 def _coefficient_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
@@ -200,7 +190,7 @@ def _coefficient_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndar
 def _build_phase_table(q: int, p: int, deltas: tuple[int, ...]) -> np.ndarray:
     sums = _PHASE_TABLES.get((q, p), _square_sums)
     a = np.arange(q, dtype=np.int64)
-    table = (np.gcd(a, q) == 1).astype(np.clongdouble)
+    table = (np.gcd(a, q) == 1).astype(np.complex128)
     for d in deltas:
         table *= sums[a * (d % q) % q]
     return table
@@ -211,12 +201,12 @@ def _square_sums(q: int, p: int) -> np.ndarray:
     sum_r #{x : x^2 = r mod q} e_q(b r), one inverse DFT of the histogram."""
     xs = np.arange(p * q, dtype=np.int64)
     xs = xs[xs % p != 0] % q
-    return q * np.fft.ifft(np.bincount(xs * xs % q, minlength=q).astype(np.longdouble))
+    return q * np.fft.ifft(np.bincount(xs * xs % q, minlength=q))
 
 
 def _unit_roots(q: int) -> np.ndarray:
     """e_q(-m) for every m mod q, cached per q."""
-    return np.exp(-2j * _PI * (np.arange(q, dtype=np.longdouble) / q))
+    return np.exp(-2j * np.pi * np.arange(q, dtype=np.int64) / q)
 
 
 def singular_coefficient(
@@ -230,8 +220,7 @@ def singular_coefficient(
     once from one DFT of the square histogram mod q, cached per modulus.
     That sum is taken at q = 1 and at prime powers only: a_q(k) (p/(p-1))^n
     is multiplicative in q, so a composite q is the product of its
-    prime-power factors, taken in the order ``singular_series`` takes them,
-    in long double and rounded to a float once.
+    prime-power factors, taken in the order ``singular_series`` takes them.
     """
     q, k, p = require_int("q", q), require_int("k", k), require_int("p", p)
     if q < 1:
@@ -250,15 +239,15 @@ def singular_coefficient(
     unit = _euler_unit(p, dual.n)
     for factor in reversed(factors[:-1]):
         aq = _coefficient(factor, k, dual.deltas, p) * aq * unit + 0.0
-    return float(aq)
+    return aq
 
 
-def _euler_unit(p: int, n: int) -> np.longdouble:
+def _euler_unit(p: int, n: int) -> float:
     """(p/(p-1))^n: a_{q1 q2} = a_{q1} a_{q2} (p/(p-1))^n for coprime q1, q2.
     The Chinese remainder theorem splits the units a mod q1 q2 and the x mod
     p q1 q2, and the condition that p does not divide x falls into exactly
     one of the two factors, which leaves one surplus (p - 1)/p per coordinate."""
-    return (np.longdouble(p) / (p - 1)) ** n
+    return (p / (p - 1)) ** n
 
 
 def _require_unit_duals(dual: DualForm, p: int) -> None:
@@ -313,13 +302,12 @@ def _split(q_max: int) -> tuple[np.ndarray, np.ndarray]:
     return head, rest
 
 
-def _coefficient(q: int, k: int, deltas: tuple[int, ...], p: int) -> np.longdouble:
-    """a_q(k) by its phase-table sum, for any q, in long double; the direct
-    evaluation that the Euler product applies at q = 1 and at prime powers,
-    before the product's one rounding to a float."""
+def _coefficient(q: int, k: int, deltas: tuple[int, ...], p: int) -> float:
+    """a_q(k) by its phase-table sum, for any q; the direct evaluation that
+    the Euler product applies at q = 1 and at prime powers."""
     table = _coefficient_phase_table(q, p, deltas)
     phases = _PHASE_TABLES.get((q,), _unit_roots)[np.arange(q, dtype=np.int64) * (k % q) % q]
-    return (table @ phases).real / np.longdouble(p * q) ** len(deltas)
+    return float((table @ phases).real / (p * q) ** len(deltas))
 
 
 def singular_coefficient_naive(q: int, k: int, dual: DualForm, p: int) -> float:
@@ -359,13 +347,12 @@ def singular_series(
     q = 1 and at the prime powers, and every other a_q is filled in as
     a_head a_rest (p/(p-1))^n, head the power of q's smallest prime, in
     rounds by the number of distinct prime factors; the partial sum adds
-    them in order of q.  All of it runs in long double, and each reported
-    value is rounded to a float once.  The recorded decay constant is
-    max |a_q(k)| q^(n/2-1); the tail bound is that constant times
-    q_max^(2-n/2) (the integral-comparison envelope, degenerating to the
-    constant itself at n = 4).  The whole series is charged before any
-    coefficient runs, and a q_max whose largest prime alone is over budget
-    is refused before the split is built.
+    them in order of q.  The recorded decay constant is max |a_q(k)|
+    q^(n/2-1); the tail bound is that constant times q_max^(2-n/2) (the
+    integral-comparison envelope, degenerating to the constant itself at
+    n = 4).  The whole series is charged before any coefficient runs, and a
+    q_max whose largest prime alone is over budget is refused before the
+    split is built.
     """
     k, p, q_max = require_int("k", k), require_int("p", p), require_int("q_max", q_max)
     n = dual.n
@@ -384,7 +371,7 @@ def singular_series(
         direct = np.flatnonzero(rest == 1)[1:].tolist()
         cost = _series_cost(direct, q_max, p, n)
     charge(cost, budget_val, "singular series")
-    coeffs = np.zeros(q_max + 1, dtype=np.longdouble)
+    coeffs = np.zeros(q_max + 1)
     for q in direct:
         coeffs[q] = _coefficient(q, k, dual.deltas, p)
     unit = _euler_unit(p, n)
@@ -394,7 +381,7 @@ def singular_series(
         # + 0.0: a zero factor times a negative one is 0.0, not -0.0
         coeffs[ready] = coeffs[head[ready]] * coeffs[rest[ready]] * unit + 0.0
         done[ready] = True
-    values = coeffs[1:].astype(float).tolist()
+    values = coeffs[1:].tolist()
     # Python's q ** e, not numpy's power, which may differ in the last bit
     e = n / 2.0 - 1.0
     decay = max(abs(aq) * q**e for q, aq in enumerate(values, 1))

@@ -196,10 +196,8 @@ PINNED_README_SHA256 = {
         "59068166ad4eb17f9f6c1ed5de9485ce2b47ea4c524379fc31f86b3d2f8943d2",
     "tau 2 --deltas 1 1 --p 3 --m 5 --N 10":
         "2c49e591ec01f3d7feefcbb57256939cebb9762c64b595102d12734b02687afb",
-    # re-recorded when the coefficients moved to long double: a_5 = -16/2025
-    # now prints correctly rounded, and a_4 = 0 prints 7.8e-21 for 6.0e-18
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 50":
-        "24dfe3d9b48fd335f3620e98747f57dda37c2bfc978be4b086b6a42192079da3",
+        "9aa982959b809474b8a9ae6ed091a0516e034ceab58b1ea73cc20c9d7cdf2d47",
     "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1":
         "c0a87520b9d9692510fca6abd3e3023b745d86d330a4a3244cb47e0943ae895b",
     "selftest --quick":
@@ -261,13 +259,12 @@ PINNED_FORMAT_SHA256 = {
         "bcf30dfa2df9a096dafa68a9c621e4cae84154c2a52efa3ca81cf661e19de220",
     "tau 2 --deltas 1 1 --p 3 --m 5 --N 10 --format plain":
         "a614272b0220865ce8fcc39eafdc3a9ad86c33a5a8f4637c3e6e2df1c90da2e6",
-    # re-recorded when the coefficients moved to long double, as above
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format json":
-        "a15538fa52c09288fc796926ab05146a2c075470d19e8e59f6ec51b4ac9d008c",
+        "87fa14188a316eb5db4bc1c4c7b38314e97832d9e6fd9ad219ea4a0a31624480",
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format csv":
-        "89ef5fb0d6416086924671730764dd3c2bc89cc0b4e76f1d53e1f56fe4d2e387",
+        "b924573c002d9f659922b4af88e489502e8109606ccde5e3311a7c15bb71f1f2",
     "singular-series 1 --deltas 1 1 1 1 --p 3 --q-max 10 --format plain":
-        "a52c7c177a616f647857e5add63eff6c1481c3f2736f76801ee0973ce3c8e24c",
+        "3f883e1855859181631e08b4ddcdffb3f3f996f3ed6e615c4ecbdf00ac714193",
     "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1 --format json":
         "c0a87520b9d9692510fca6abd3e3023b745d86d330a4a3244cb47e0943ae895b",
     "quad-count --alphas 1 1 1 1 --b 4 --s 4 --M 1 --format csv":

@@ -446,18 +446,35 @@ def _cmd_selftest(args) -> int:
 # parser plumbing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler) -> None:
     sub.add_argument("--format", choices=["json", "csv", "plain"], default="json")
     sub.add_argument("--output", default=None, help="write the report to a file")
     sub.add_argument("--budget", type=int, default=None, help="inner-loop operation budget")
     sub.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     sub.add_argument("--config", default=None, help="key=value defaults file (flags win)")
+    sub.set_defaults(func=handler)
 
 
 def _add_weight_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--weight", choices=["gaussian", "bump", "sharp"], default="gaussian")
     sub.add_argument("--sigma", type=float, default=1.0)
     sub.add_argument("--radius", type=float, default=1.0)
+
+
+def _add_eval_args(sub: argparse.ArgumentParser) -> None:
+    for name in ("a", "b", "p", "m"):
+        sub.add_argument(name, type=int)
+
+
+def _add_form_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--mode", choices=["inhom", "hom"], required=True)
+    sub.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
+    sub.add_argument("--p", type=int, required=True)
+
+
+def _add_scale_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--N", type=_finite_positive, default=None)
+    sub.add_argument("--theta", type=_finite_positive, default=None, help="N = ceil(q^theta)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,51 +485,34 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("eval-gauss", help="quadratic Gauss sum, closed form and brute force")
-    sp.add_argument("a", type=int)
-    sp.add_argument("b", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("m", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_eval_gauss(a), a.format, a.output))
+    _add_eval_args(sp)
+    _add_common(sp, _cmd_eval_gauss)
 
     sp = subs.add_parser("eval-kloosterman", help="Kloosterman or Salie sum")
-    sp.add_argument("a", type=int)
-    sp.add_argument("b", type=int)
-    sp.add_argument("p", type=int)
-    sp.add_argument("m", type=int)
+    _add_eval_args(sp)
     sp.add_argument("--salie", action="store_true")
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_eval_kloosterman(a), a.format, a.output))
+    _add_common(sp, _cmd_eval_kloosterman)
 
     sp = subs.add_parser("density", help="solution density constants A, B, C")
     sp.add_argument("which", choices=["A", "B", "C"])
     sp.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_density(a), a.format, a.output))
+    _add_common(sp, _cmd_density)
 
     sp = subs.add_parser("count", help="weighted solution count and main term")
-    sp.add_argument("--mode", choices=["inhom", "hom"], required=True)
-    sp.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
-    sp.add_argument("--p", type=int, required=True)
+    _add_form_args(sp)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--N", type=_finite_positive, default=None)
-    sp.add_argument("--theta", type=_finite_positive, default=None, help="N = ceil(q^theta)")
+    _add_scale_args(sp)
     sp.add_argument("--method", choices=["direct", "spectral"], default="direct")
     _add_weight_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_count(a), a.format, a.output))
+    _add_common(sp, _cmd_count)
 
     sp = subs.add_parser("verify-asymptotic", help="ratio table T/T0 over a range of exponents")
-    sp.add_argument("--mode", choices=["inhom", "hom"], required=True)
-    sp.add_argument("--lambda", dest="lam", type=int, nargs="+", required=True)
-    sp.add_argument("--p", type=int, required=True)
+    _add_form_args(sp)
     sp.add_argument("--m-range", required=True, help="like 2..6")
-    sp.add_argument("--N", type=_finite_positive, default=None)
-    sp.add_argument("--theta", type=_finite_positive, default=None)
+    _add_scale_args(sp)
     _add_weight_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_verify_asymptotic(a), a.format, a.output))
+    _add_common(sp, _cmd_verify_asymptotic)
 
     sp = subs.add_parser("expsum-scan", help="square-root exponential sum bound scan")
     sp.add_argument("--p", type=int, required=True)
@@ -521,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--c-max", type=int, default=64)
     sp.add_argument("--k-cap", type=int, default=100_000)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_expsum_scan(a), a.format, a.output))
+    _add_common(sp, _cmd_expsum_scan)
 
     sp = subs.add_parser("tau", help="weighted representation count by the dual form")
     sp.add_argument("k", type=int)
@@ -530,19 +529,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--r", type=int, default=0)
-    sp.add_argument("--N", type=_finite_positive, default=None)
-    sp.add_argument("--theta", type=_finite_positive, default=None)
+    _add_scale_args(sp)
     _add_weight_args(sp)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_tau(a), a.format, a.output))
+    _add_common(sp, _cmd_tau)
 
     sp = subs.add_parser("singular-series", help="truncated singular series coefficients")
     sp.add_argument("k", type=int)
     sp.add_argument("--deltas", type=int, nargs="+", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q-max", type=int, default=50)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_singular_series(a), a.format, a.output))
+    _add_common(sp, _cmd_singular_series)
 
     sp = subs.add_parser("quad-count", help="bounded quadruple count for a four-square congruence")
     sp.add_argument("--alphas", type=int, nargs=4, required=True)
@@ -550,14 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--M", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(func=lambda a: _emit(_cmd_quad_count(a), a.format, a.output))
+    _add_common(sp, _cmd_quad_count)
 
     sp = subs.add_parser("selftest", help="oracle-agreement suites; exit 0 on pass")
     sp.add_argument("--quick", action="store_true")
     sp.add_argument("--seed", type=int, default=1)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_selftest)
+    _add_common(sp, _cmd_selftest)
 
     for sub in subs.choices.values():
         sub.allow_abbrev = False  # a --config key then names exactly the flag it spells
@@ -601,7 +595,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_with_config(argv))
         result = args.func(args)
-        return int(result) if isinstance(result, int) else 0
+        if isinstance(result, int):
+            return result  # selftest writes its own lines and exit code
+        _emit(result, args.format, args.output)
+        return 0
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

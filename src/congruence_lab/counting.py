@@ -363,6 +363,15 @@ class CountReport:
     truncation_bound: float
 
 
+def _report(form, modulus, N, w, T, T0, mode, strategy, cost, truncation_bound) -> CountReport:
+    """The report of either count, with ratio = T / T0 (nan unless T0 > 0)."""
+    return CountReport(
+        T=T, T0=T0, ratio=T / T0 if T0 > 0 else math.nan, p=modulus.p, m=modulus.m, N=N,
+        lambdas=form.lambdas, inhomogeneous_term=form.inhomogeneous_term,
+        weight=w, mode=mode, strategy=strategy, cost=cost, truncation_bound=truncation_bound,
+    )
+
+
 def _main_term(
     form: DiagonalForm, modulus: PrimePowerModulus, N: float, w: WeightSpec, mode: str
 ) -> float:
@@ -398,10 +407,11 @@ def _fft_cost(n: int, q: int) -> int:
     return n * q * (q - 1).bit_length()
 
 
-def _convolution_transforms(coeffs, q: int) -> int:
-    """Transforms _cyclic_convolution runs on the histograms of coeffs mod q:
-    one rfft per distinct coefficient mod q and one irfft."""
-    return len({c % q for c in coeffs}) + 1
+def _convolution_cost(coeffs, points: int, q: int) -> int:
+    """Budget estimate of one weighted-histogram convolution mod q: a histogram
+    of points entries per coefficient, then the transforms _cyclic_convolution
+    runs, one rfft per distinct coefficient mod q and one irfft."""
+    return len(coeffs) * points + _fft_cost(len({c % q for c in coeffs}) + 1, q)
 
 
 def _axis_data(table: np.ndarray, X: int, p: int, q: int, restrict: str):
@@ -507,7 +517,7 @@ def count_weighted_direct(
     entries = (2 * X + 1) ** (n // 2) + (2 * X + 1) ** (n - n // 2)
     charges = {
         "enumerate": len(parts) * entries * entries.bit_length(),
-        "histogram": len(parts) * (n * (2 * X + 1) + _fft_cost(_convolution_transforms(form.lambdas, q), q)),
+        "histogram": len(parts) * _convolution_cost(form.lambdas, 2 * X + 1, q),
     }
     if strategy == "auto":
         strategy = min(charges, key=charges.get)
@@ -521,13 +531,8 @@ def count_weighted_direct(
     T0 = _main_term(form, modulus, N, w, mode)
     if mode == UNIT_COORDS and T0 == 0.0:
         T = 0.0  # no unit solution mod p, so none in the box: drop the FFT's rounding noise
-    ratio = T / T0 if T0 > 0 else math.nan
     trunc = 2 * n * (2 * X + 1) ** (n - 1) * WEIGHT_NEGLIGIBLE
-    return CountReport(
-        T=T, T0=T0, ratio=ratio, p=p, m=modulus.m, N=N,
-        lambdas=form.lambdas, inhomogeneous_term=form.inhomogeneous_term,
-        weight=w, mode=mode, strategy=strategy, cost=cost, truncation_bound=trunc,
-    )
+    return _report(form, modulus, N, w, T, T0, mode, strategy, cost, trunc)
 
 
 def _top_frequency_block(form, p, m, N, w, t_max) -> float:
@@ -597,8 +602,8 @@ def count_weighted_spectral(
     # frequencies k = p^(m-1) * t: significant whenever the Fourier weight at N/p is
     t_max = k_cutoff // p ** (m - 1)
     if solvable and t_max > 0:
-        transforms = _convolution_transforms(form.lambdas, p)
-        charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * (n * (p - 1) + _fft_cost(transforms, p)),
+        # the folded weights and their transform, then the full and the t = 0 convolutions
+        charge(2 * t_max + 1 + _fft_cost(1, p) + 2 * _convolution_cost(form.lambdas, p - 1, p),
                budget_val, "spectral low-frequency block")
         total += _top_frequency_block(form, p, m, N, w, t_max)
         axis_points += n * (2 * t_max + 1)
@@ -609,26 +614,19 @@ def count_weighted_spectral(
         if len(vs) == 0:
             continue
         inverses = [invmod(lam % c, c) for lam in form.lambdas]
-        # the axis, the transforms, and the gather's at most 16 array passes over the units below c/2
-        charge(n * len(vs) + _fft_cost(_convolution_transforms(inverses, c), c) + 8 * c, budget_val,
-               "spectral frequency sum")
+        # the convolution, and the gather's at most 16 array passes over the units below c/2
+        charge(_convolution_cost(inverses, len(vs), c) + 8 * c, budget_val, "spectral frequency sum")
         axis_points += n * len(vs)
         fw = 2.0 * weight_fourier_array(w, (p**r) * vs * N / q)  # +-v folded
         wdist = _cyclic_convolution(_residue_histograms(inverses, (vs * vs) % c, fw, c), c)
         kernel_evals += c
         total += dual_kernel_level(form, modulus, r, wdist)
 
-    U = total * float(N) ** n / float(q) ** (n + 1)
-    T = T0 + U
-    ratio = T / T0 if T0 > 0 else math.nan
+    T = T0 + total * float(N) ** n / float(q) ** (n + 1)
     cost = {
         "kernel_evals": kernel_evals,
         "axis_points": axis_points,
         "k_cutoff": k_cutoff,
     }
-    return CountReport(
-        T=T, T0=T0, ratio=ratio, p=p, m=m, N=N,
-        lambdas=form.lambdas, inhomogeneous_term=form.inhomogeneous_term,
-        weight=w, mode=UNIT_COORDS, strategy="spectral", cost=cost,
-        truncation_bound=FOURIER_NEGLIGIBLE * n * max(1.0, abs(T0)),
-    )
+    return _report(form, modulus, N, w, T, T0, UNIT_COORDS, "spectral", cost,
+                   FOURIER_NEGLIGIBLE * n * max(1.0, abs(T0)))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruence_lab import charsums, counting, sqrt_expsums
-from congruence_lab.cli import canonical_json, main
+from congruence_lab.cli import build_parser, canonical_json, main
 from congruence_lab.densities import DiagonalForm
 from congruence_lab.errors import UnsupportedCase
 from congruence_lab.modmath import PrimePowerModulus
@@ -299,6 +300,66 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, command):
     assert path.read_text() == run_main(command.split())[1]
 
 
+# recorded before the verbs shared their option declarations: the order of
+# every verb's flags and positionals
+PINNED_USAGE = {
+    "eval-gauss": (
+        "usage: congruence-lab eval-gauss [-h] [--format {json,csv,plain}] [--output OUTPUT] [--budget "
+        "BUDGET] [--threads THREADS] [--config CONFIG] a b p m\n"
+    ),
+    "eval-kloosterman": (
+        "usage: congruence-lab eval-kloosterman [-h] [--salie] [--format {json,csv,plain}] [--output "
+        "OUTPUT] [--budget BUDGET] [--threads THREADS] [--config CONFIG] a b p m\n"
+    ),
+    "density": (
+        "usage: congruence-lab density [-h] --lambda LAM [LAM ...] --p P [--format {json,csv,plain}] "
+        "[--output OUTPUT] [--budget BUDGET] [--threads THREADS] [--config CONFIG] {A,B,C}\n"
+    ),
+    "count": (
+        "usage: congruence-lab count [-h] --mode {inhom,hom} --lambda LAM [LAM ...] --p P --m M [--N N] "
+        "[--theta THETA] [--method {direct,spectral}] [--weight {gaussian,bump,sharp}] [--sigma SIGMA] "
+        "[--radius RADIUS] [--format {json,csv,plain}] [--output OUTPUT] [--budget BUDGET] [--threads "
+        "THREADS] [--config CONFIG]\n"
+    ),
+    "verify-asymptotic": (
+        "usage: congruence-lab verify-asymptotic [-h] --mode {inhom,hom} --lambda LAM [LAM ...] --p P "
+        "--m-range M_RANGE [--N N] [--theta THETA] [--weight {gaussian,bump,sharp}] [--sigma SIGMA] "
+        "[--radius RADIUS] [--format {json,csv,plain}] [--output OUTPUT] [--budget BUDGET] [--threads "
+        "THREADS] [--config CONFIG]\n"
+    ),
+    "expsum-scan": (
+        "usage: congruence-lab expsum-scan [-h] --p P [--s-range S_RANGE] [--trials TRIALS] [--seed SEED]"
+        " [--c-max C_MAX] [--k-cap K_CAP] [--format {json,csv,plain}] [--output OUTPUT] [--budget BUDGET]"
+        " [--threads THREADS] [--config CONFIG]\n"
+    ),
+    "tau": (
+        "usage: congruence-lab tau [-h] --deltas DELTAS [DELTAS ...] --p P --m M [--r R] [--N N] [--theta"
+        " THETA] [--weight {gaussian,bump,sharp}] [--sigma SIGMA] [--radius RADIUS] [--format "
+        "{json,csv,plain}] [--output OUTPUT] [--budget BUDGET] [--threads THREADS] [--config CONFIG] k\n"
+    ),
+    "singular-series": (
+        "usage: congruence-lab singular-series [-h] --deltas DELTAS [DELTAS ...] --p P [--q-max Q_MAX] "
+        "[--format {json,csv,plain}] [--output OUTPUT] [--budget BUDGET] [--threads THREADS] [--config "
+        "CONFIG] k\n"
+    ),
+    "quad-count": (
+        "usage: congruence-lab quad-count [-h] --alphas ALPHAS ALPHAS ALPHAS ALPHAS --b B [--p P] --s S "
+        "--M M [--format {json,csv,plain}] [--output OUTPUT] [--budget BUDGET] [--threads THREADS] "
+        "[--config CONFIG]\n"
+    ),
+    "selftest": (
+        "usage: congruence-lab selftest [-h] [--quick] [--seed SEED] [--format {json,csv,plain}] "
+        "[--output OUTPUT] [--budget BUDGET] [--threads THREADS] [--config CONFIG]\n"
+    ),
+}
+
+
+def test_every_verb_keeps_its_usage_line(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per usage
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sub.format_usage() for name, sub in subs.choices.items()} == PINNED_USAGE
+
+
 def test_scan_csv_is_one_table_row_per_scan_row():
     code, out, err = run_main(["expsum-scan", "--p", "3", "--s-range", "2..5", "--trials", "8",
                                "--seed", "99", "--format", "csv"])
@@ -523,7 +584,8 @@ def test_config_file_values_are_parsed_like_flags(tmp_path):
     cfg.write_text("budget=10\n")
     code, _, err = run_main([*INHOM_COUNT, "--N", "25", "--config", str(cfg)])
     assert code == 3 and "budget" in err
-    cfg.write_text("theta=0.6\n")
+    # blank lines and comments are skipped
+    cfg.write_text("\n# the box\n   \ntheta=0.6\n  # an indented comment\n")
     code, out, _ = run_main([*INHOM_COUNT, "--config", str(cfg)])
     assert code == 0 and json.loads(out)["N"] == math.ceil(25**0.6)
 
@@ -551,6 +613,25 @@ def test_config_file_supplies_required_flags(tmp_path):
     code, out, _ = run_main(["tau", "2", *args, "--config", str(cfg)])
     assert code == 0
     assert out == run_main(["tau", "2", "--deltas", "1", "1", *args])[1]
+
+
+@pytest.mark.parametrize("line", ["N 25", "=25"])
+def test_config_line_that_is_not_key_value_exits_2(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# the box\n{line}\n")
+    code, out, err = run_main([*INHOM_COUNT, "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config line {line!r} is not key=value\n"
+
+
+@pytest.mark.parametrize("value, flags", [("true", ["--salie"]), ("TRUE", ["--salie"]), ("false", []), ("False", [])])
+def test_config_switch_is_set_by_true_and_left_off_by_false(tmp_path, value, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"salie={value}\n")
+    command = ["eval-kloosterman", "7", "13", "5", "3"]
+    assert run_main(command)[1] != run_main([*command, "--salie"])[1]  # the two reports differ
+    got = run_main([*command, "--config", str(cfg)])
+    assert got[0] == 0 and got == run_main([*command, *flags])
 
 
 @pytest.mark.parametrize("args, flag", [

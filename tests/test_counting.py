@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congruence_lab import charsums
+from congruence_lab import charsums, counting
 from congruence_lab.counting import (
     NOT_ALL_ZERO,
     UNIT_COORDS,
@@ -345,6 +345,42 @@ def test_spectral_count_charges_the_dual_kernel_per_level():
     rep = count_weighted_spectral(form, mod, 10.0, gaussian_weight(), budget=level)
     assert rep.T == count_weighted_spectral(form, mod, 10.0, gaussian_weight()).T
 
+
+# every charge of these counts, recorded before the three convolution charges
+# became one function: (what, estimate) in the order charged
+PINNED_CHARGES = {
+    "histogram units": (
+        lambda: count_weighted_direct(DiagonalForm((1, 6, 2), 1), PrimePowerModulus(5, 2), 25.0,
+                                      gaussian_weight(), UNIT_COORDS, strategy="histogram"),
+        [("weight table", 301.0), ("histogram count", 1403)],
+    ),
+    "histogram not-all-zero": (
+        lambda: count_weighted_direct(DiagonalForm((1, 6, 2), 1), PrimePowerModulus(5, 2), 25.0,
+                                      gaussian_weight(), NOT_ALL_ZERO, strategy="histogram"),
+        [("weight table", 301.0), ("histogram count", 2806)],
+    ),
+    "enumerate": (
+        lambda: count_weighted_direct(DiagonalForm((1, 1, 2), 1), PrimePowerModulus(5, 2), 25.0,
+                                      gaussian_weight(), UNIT_COORDS, strategy="enumerate"),
+        [("weight table", 301.0), ("enumerate count", 1545334)],
+    ),
+    # k_cutoff = 27 at q = 125 and N = 15, so the top block runs at t_max = 27 // 25 = 1
+    "spectral with top block": (
+        lambda: count_weighted_spectral(DiagonalForm((3, 1, 1, 3, 4, 1), 2), PrimePowerModulus(5, 3), 15.0,
+                                        gaussian_weight()),
+        [("spectral low-frequency block", 186), ("spectral frequency sum", 4632), ("spectral frequency sum", 724)],
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_CHARGES))
+def test_count_charges_are_pinned(run, monkeypatch):
+    count, pinned = PINNED_CHARGES[run]
+    calls = []
+    monkeypatch.setattr(counting, "charge", lambda cost, budget, what: calls.append((what, cost)))
+    count()
+    assert calls == pinned
+    assert [type(cost) for _, cost in calls] == [type(cost) for _, cost in pinned]
 
 def test_spectral_count_at_a_large_prime_refuses_within_a_second():
     # the main term costs O(n^2) integer steps at any p, so the budget refuses

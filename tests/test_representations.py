@@ -710,17 +710,75 @@ def _coprime_moduli(draw):
     return q1, q2, draw(st.integers(-10**6, 10**6)), deltas, p
 
 
+def _mobius(n: int) -> int:
+    mu, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if n > 1 else mu
+
+
+def exact_coefficient(q, k, deltas, p):
+    """a_q(k) as an exact fraction.  With S(b) = sum_x e_q(b x^2) over x mod pq
+    (p not dividing x), the unit-a sum of e_q(-a k) prod_j S(a Delta_j) is the
+    trace of X = e_q(-k) prod_j S(Delta_j) over the units: X is kept as integer
+    coefficients of the powers of e_q(1), and the trace of e_q(t) is the
+    Ramanujan sum c_q(t) = sum over d | (q, t) of mu(q/d) d."""
+    hist = np.bincount([x * x % q for x in range(p * q) if x % p], minlength=q)
+    poly = np.zeros(q, dtype=np.int64)  # entries stay below ((p - 1) q)^n < 2^63
+    poly[-k % q] = 1
+    for d in deltas:
+        spread = np.zeros(q, dtype=np.int64)
+        np.add.at(spread, d * np.arange(q) % q, hist)
+        full = np.convolve(poly, spread)
+        poly = full[:q]
+        poly[: q - 1] += full[q:]
+    divisors = [e for e in range(1, q + 1) if q % e == 0]
+    trace = sum(int(c) * sum(_mobius(q // e) * e for e in divisors if t % e == 0) for t, c in enumerate(poly))
+    return Fraction(trace, (p * q) ** len(deltas))
+
+
+@example((17, 1, 0, (17, 17, 17, 17), 7))
+@example((5, 17, 0, (17, 17, 17, 17), 5))
+@example((72, 1, 530340, (18, 18, 18, 18), 5))
 @settings(max_examples=200, deadline=None)
 @given(_coprime_moduli())
 def test_euler_product_matches_direct_coefficient(case):
-    """a_{q1 q2} = a_{q1} a_{q2} (p/(p-1))^n for coprime q1, q2 (p | q allowed),
-    and the factorized coefficient is the direct phase-table sum to 1e-15."""
+    """a_{q1 q2} = a_{q1} a_{q2} (p/(p-1))^n for coprime q1, q2 (p | q allowed)
+    on the exact coefficients; singular_coefficient's factorization, fed them,
+    is the direct coefficient to 1e-15; and each float the library computes,
+    a_q by its direct sum at q1, q2 and q1 q2 and by the Euler product at
+    q1 q2, is the exact value to 1e-15, relative once |a_q| > 1."""
     q1, q2, k, deltas, p = case
-    direct = representations._coefficient(q1 * q2, k, deltas, p)
-    product = (representations._coefficient(q1, k, deltas, p) * representations._coefficient(q2, k, deltas, p)
-               * (p / (p - 1)) ** len(deltas))
-    assert abs(product - direct) <= 1e-15, case
-    assert abs(singular_coefficient(q1 * q2, k, DualForm(deltas), p) - direct) <= 1e-15, case
+    exact = {q: exact_coefficient(q, k, deltas, p) for q in {q1, q2, q1 * q2}}
+    unit = Fraction(p, p - 1) ** len(deltas)
+    assert abs(exact[q1] * exact[q2] * unit - exact[q1 * q2]) <= 1e-15, case
+    dual = DualForm(deltas)
+    with mock.patch.object(representations, "_coefficient", lambda q, *_: exact_coefficient(q, k, deltas, p)), \
+            mock.patch.object(representations, "_euler_unit", lambda *_: unit):
+        assert abs(singular_coefficient(q1 * q2, k, dual, p) - exact[q1 * q2]) <= 1e-15, case
+    checks = [(representations._coefficient(q, k, deltas, p), exact[q]) for q in exact]
+    checks.append((singular_coefficient(q1 * q2, k, dual, p), exact[q1 * q2]))
+    for value, want in checks:
+        assert abs(value - want) <= 1e-15 * max(1, abs(want)), case
+
+
+@pytest.mark.parametrize("case", [
+    (17, 1, 0, (17, 17, 17, 17), 7),
+    (5, 17, 0, (17, 17, 17, 17), 5),
+    (72, 1, 530340, (18, 18, 18, 18), 5),
+    (7, 10, -3, (1, 2, 4, 5, 8, 11), 3),
+])
+def test_exact_coefficient_is_the_40_digit_sum(case):
+    q1, q2, k, deltas, p = case
+    for q in (q1, q2, q1 * q2):
+        exact = exact_coefficient(q, k, deltas, p)
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(exact.numerator) / exact.denominator - mpmath_coefficient(q, k, deltas, p)) <= 1e-35
 
 
 def mpmath_coefficient(q, k, deltas, p):

@@ -749,22 +749,24 @@ def exact_coefficient(q, k, deltas, p):
 @given(_coprime_moduli())
 def test_euler_product_matches_direct_coefficient(case):
     """a_{q1 q2} = a_{q1} a_{q2} (p/(p-1))^n for coprime q1, q2 (p | q allowed)
-    on the exact coefficients; singular_coefficient's factorization, fed them,
-    is the direct coefficient to 1e-15; and each float the library computes,
-    a_q by its direct sum at q1, q2 and q1 q2 and by the Euler product at
-    q1 q2, is the exact value to 1e-15, relative once |a_q| > 1."""
+    on the exact coefficients; the library's unit is (p/(p-1))^n to 1e-15; and
+    singular_coefficient's factorization, fed the exact coefficients and unit
+    at 40 digits, is the exact direct coefficient to 1e-15."""
     q1, q2, k, deltas, p = case
     exact = {q: exact_coefficient(q, k, deltas, p) for q in {q1, q2, q1 * q2}}
     unit = Fraction(p, p - 1) ** len(deltas)
     assert abs(exact[q1] * exact[q2] * unit - exact[q1 * q2]) <= 1e-15, case
-    dual = DualForm(deltas)
-    with mock.patch.object(representations, "_coefficient", lambda q, *_: exact_coefficient(q, k, deltas, p)), \
-            mock.patch.object(representations, "_euler_unit", lambda *_: unit):
-        assert abs(singular_coefficient(q1 * q2, k, dual, p) - exact[q1 * q2]) <= 1e-15, case
-    checks = [(representations._coefficient(q, k, deltas, p), exact[q]) for q in exact]
-    checks.append((singular_coefficient(q1 * q2, k, dual, p), exact[q1 * q2]))
-    for value, want in checks:
-        assert abs(value - want) <= 1e-15 * max(1, abs(want)), case
+    assert abs(representations._euler_unit(p, len(deltas)) - unit) <= 1e-15, case
+
+    def mpf(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    # mpf + 0.0 stays an mpf, so the whole product is taken at 40 digits
+    with mpmath.workdps(40), \
+            mock.patch.object(representations, "_coefficient", lambda *args: mpf(exact_coefficient(*args))), \
+            mock.patch.object(representations, "_euler_unit", lambda p, n: mpf(Fraction(p, p - 1) ** n)):
+        got = singular_coefficient(q1 * q2, k, DualForm(deltas), p)
+        assert isinstance(got, mpmath.mpf) and abs(got - mpf(exact[q1 * q2])) <= 1e-15, case
 
 
 @pytest.mark.parametrize("case", [
